@@ -1,10 +1,10 @@
 """Core of the project static analyzer (``python -m repro.analysis``).
 
-PR 4's single-file AST lint (``tools/lint_repro.py``) grew into this
-package when the concurrent service layer (asyncio solve server, forked
-worker pool, thread-shared caches) needed rules a flat script could not
-carry: a typed rule registry with per-rule docs, ``# noqa`` suppression
-with **unused-suppression detection** (RL900), machine output (JSON and
+A single-file AST lint grew into this package when the concurrent
+service layer (asyncio solve server, forked worker pool, thread-shared
+caches) needed rules a flat script could not carry: a typed rule
+registry with per-rule docs, ``# noqa`` suppression with
+**unused-suppression detection** (RL900), machine output (JSON and
 SARIF), and a diff-aware mode for CI.
 
 Architecture::
@@ -12,7 +12,8 @@ Architecture::
     engine.py        Rule / Finding / FileContext, noqa bookkeeping,
                      path walking, diff awareness, output rendering
     rules_rl.py      RL001-RL006 determinism/correctness rules (ported
-                     from the PR 4 lint) + the RL900 suppression audit
+                     from the single-file lint) + the RL900 suppression
+                     audit
     rules_cc.py      CC001+ concurrency rules for the service layer
                      (blocking calls in async, lock discipline, fork
                      safety, asyncio hygiene)
@@ -94,8 +95,7 @@ def load_rules() -> dict[str, Rule]:
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer finding.  ``rule`` keeps the PR 4 field name so the
-    ``tools/lint_repro.py`` shim stays drop-in compatible."""
+    """One analyzer finding; ``rule`` is the rule code."""
 
     path: Path
     line: int

@@ -1,9 +1,9 @@
 """RL rule family: determinism/correctness invariants of the numeric core.
 
-Ported from PR 4's ``tools/lint_repro.py`` with identical semantics (that
-script is now a thin shim over this module), plus the RL900
-unused-suppression audit.  Rule semantics are frozen — the shipped test
-suite pins them — so behavior changes need a new code, not an edit here.
+Ported from the project's original single-file lint with identical
+semantics, plus the RL900 unused-suppression audit.  Rule semantics are
+frozen — the shipped test suite pins them — so behavior changes need a
+new code, not an edit here.
 """
 
 from __future__ import annotations

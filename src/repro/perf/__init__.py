@@ -1,29 +1,32 @@
-"""Performance layer: process-pool batch solving with hard timeouts.
+"""Performance layer: batch solving on resident worker processes.
 
-The experiment tables solve dozens of independent LUBT instances; this
-package runs them across worker *processes* (``--jobs N`` on the CLI).
-Unlike the thread-based timeouts in :mod:`repro.resilience`, a timed-out
-worker here is **killed**, not abandoned — a pathological LP cannot leave
-a runaway solve burning CPU (the ROADMAP "process-level solve timeouts"
-item).
+The experiment tables, bound sweeps and chip-scale CTS runs each solve
+many independent LUBT instances; this package runs them across worker
+*processes* (``--jobs N`` on the CLI) through one executor.  Unlike the
+thread-based timeouts in :mod:`repro.resilience`, a timed-out worker
+here is **killed**, not abandoned — a pathological LP cannot leave a
+runaway solve burning CPU.
 
-* :func:`run_many` — generic ordered fan-out of a picklable function
-  over argument tuples with per-task kill-on-timeout;
+* :func:`run_many` — the one batch executor: ordered fan-out of a
+  picklable function over argument tuples, inline when serial, else
+  chunked over a resident pool with per-task kill-on-timeout and
+  completion-ordered ``on_result`` streaming; :func:`map_many` is its
+  unwrapped form;
 * :func:`solve_many` — batch :func:`repro.ebf.solve_lubt` over
   :class:`SolveTask` instances;
 * :func:`solve_sweep_sharded` — warm-started bound sweep chunked into
   contiguous shards, one :class:`~repro.ebf.WarmStart` per worker;
 * :class:`WorkerPool` — *resident* workers reused across submissions
-  (the :mod:`repro.server` dispatch path), same kill/crash guarantees,
+  (the :mod:`repro.server` dispatch path and every parallel batch),
   plus a consecutive-crash cap (:class:`PoolCrashLoopError`) so a
   poison task cannot respawn workers forever;
+* :class:`BatchScheduler` — the chunked dispatch under :func:`run_many`,
+  with EWMA-tuned chunk sizes;
 * :class:`SolveJournal` — crash-safe JSONL checkpoint of completed
   solves keyed by canonical instance key; ``solve_many`` /
   ``solve_sweep_sharded`` take ``journal=`` to resume a killed batch;
-* :class:`BatchScheduler` — chunked dispatch over a resident pool with
-  EWMA-tuned chunk sizes and completion-ordered result streaming;
 * :func:`run_cts` — chip-scale multi-net clock-tree flow: a placement's
-  clock nets solved as one batch through the scheduler;
+  clock nets solved as one batch;
 * :class:`TaskOutcome` — per-task result/error/timeout/crash record.
 
 Serial (``jobs=1``, no timeout) execution runs inline in the parent
@@ -38,13 +41,13 @@ from repro.perf.pool import (
     TaskError,
     TaskOutcome,
     WorkerPool,
-    map_many,
-    run_many,
 )
 from repro.perf.scheduler import (
     DEFAULT_CHUNK_SECONDS,
     DEFAULT_MAX_CHUNK,
     BatchScheduler,
+    map_many,
+    run_many,
 )
 from repro.perf.journal import (
     JournalError,

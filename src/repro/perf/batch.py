@@ -1,11 +1,11 @@
-"""Batch LUBT solving on top of :mod:`repro.perf.pool`.
+"""Batch LUBT solving on top of :func:`repro.perf.run_many`.
 
 A :class:`SolveTask` is one independent ``solve_lubt`` call (topology,
 bounds, keyword options); :func:`solve_many` fans a list of them across
-worker processes.  Task objects travel to workers via pickling under the
-spawn start method (fork inherits them for free), so topologies and
-bounds must stay picklable — both are plain dataclass-style containers
-and are.
+resident worker processes, and :func:`solve_sweep_sharded` runs a
+warm-started bound sweep as contiguous shards.  Tasks travel to workers
+by pipe, so topologies and bounds must stay picklable — both are plain
+dataclass-style containers and are.
 """
 
 from __future__ import annotations
@@ -18,12 +18,8 @@ from repro.perf.journal import (
     solution_from_record,
     solution_to_record,
 )
-from repro.perf.pool import TaskOutcome, WorkerPool, map_many
-from repro.perf.scheduler import (
-    DEFAULT_CHUNK_SECONDS,
-    DEFAULT_MAX_CHUNK,
-    BatchScheduler,
-)
+from repro.perf.pool import TaskOutcome, WorkerPool
+from repro.perf.scheduler import run_many
 
 
 @dataclass(frozen=True)
@@ -48,39 +44,26 @@ def _task_key(topo: Any, bounds: Any, options: Mapping[str, Any]) -> str:
     return instance_key(topo, bounds, dict(options))
 
 
-def _waves(items: Sequence[Any], size: int) -> list[list[Any]]:
-    """Split ``items`` into consecutive waves of at most ``size``."""
-    return [list(items[a:a + size]) for a in range(0, len(items), size)]
-
-
 def solve_many(
     tasks: Sequence[SolveTask],
     *,
     jobs: int = 1,
     timeout: float | None = None,
-    start_method: str | None = None,
     journal: SolveJournal | None = None,
     pool: WorkerPool | None = None,
     on_result: Any = None,
-    chunk_seconds: float = DEFAULT_CHUNK_SECONDS,
-    max_chunk: int = DEFAULT_MAX_CHUNK,
 ) -> list[TaskOutcome]:
     """Solve every task; outcomes come back in task order.
 
     ``outcome.value`` is the :class:`~repro.ebf.LubtSolution` on success;
     ``outcome.unwrap()`` raises :class:`~repro.perf.TaskError` on worker
-    failure or timeout.  ``jobs=1`` with no timeout (and no ``pool``)
-    runs inline and is bit-for-bit identical to a serial loop of
-    ``solve_lubt`` calls.
-
-    Parallel batches run on a **resident** :class:`~repro.perf.WorkerPool`
-    (pass ``pool=`` to reuse one across batches — e.g. a whole CTS run —
-    otherwise one is forked for the call) through the chunked
-    :class:`~repro.perf.BatchScheduler`: many tasks per IPC message with
-    the chunk size auto-tuned from an EWMA of per-task solve seconds
-    (``chunk_seconds``/``max_chunk``), results streaming back per
-    completion.  A per-task ``timeout`` kills only the offending task's
-    worker; the rest of its chunk is resubmitted.
+    failure or timeout.  ``jobs``/``timeout``/``pool`` go straight to
+    :func:`~repro.perf.run_many`: ``jobs=1`` with no timeout (and no
+    ``pool``) runs inline and is bit-for-bit identical to a serial loop
+    of ``solve_lubt`` calls; otherwise the batch runs chunked on a
+    resident pool (pass ``pool=`` to reuse one across batches — e.g. a
+    whole CTS run), and a per-task ``timeout`` kills only the offending
+    task's worker.
 
     ``on_result(outcome)`` — when given — fires once per task in
     completion order (journal replays first, then live completions as
@@ -116,7 +99,8 @@ def solve_many(
             else:
                 fresh.append(i)
 
-    def _completed(i: int, o: TaskOutcome) -> None:
+    def _completed(o: TaskOutcome) -> None:
+        i = fresh[o.index]
         out = TaskOutcome(
             i, o.ok, o.value, o.error, o.timed_out, o.crashed, o.elapsed
         )
@@ -128,41 +112,14 @@ def solve_many(
         if on_result is not None:
             on_result(out)
 
-    inline = jobs == 1 and timeout is None and pool is None
-    if inline:
-        import time as time_mod
-
-        for i in fresh:
-            t0 = time_mod.perf_counter()
-            try:
-                out = TaskOutcome(
-                    i, True, _solve_task(tasks[i]),
-                    elapsed=time_mod.perf_counter() - t0,
-                )
-            except Exception as exc:  # noqa: BLE001 — outcome boundary
-                out = TaskOutcome(
-                    i, False, error=f"{type(exc).__name__}: {exc}",
-                    elapsed=time_mod.perf_counter() - t0,
-                )
-            _completed(i, out)
-    elif fresh:
-        own_pool = pool is None
-        active = pool if pool is not None else WorkerPool(
-            jobs, start_method
-        )
-        try:
-            scheduler = BatchScheduler(
-                active, chunk_seconds=chunk_seconds, max_chunk=max_chunk
-            )
-            scheduler.run(
-                _solve_task,
-                [(tasks[i],) for i in fresh],
-                timeout=timeout,
-                on_result=lambda o: _completed(fresh[o.index], o),
-            )
-        finally:
-            if own_pool:
-                active.close()
+    run_many(
+        _solve_task,
+        [(tasks[i],) for i in fresh],
+        jobs=jobs,
+        timeout=timeout,
+        pool=pool,
+        on_result=_completed,
+    )
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]
 
@@ -200,18 +157,16 @@ def solve_sweep_sharded(
     bounds_list: Sequence[Any],
     *,
     jobs: int = 1,
-    chunks: int | None = None,
     timeout: float | None = None,
-    start_method: str | None = None,
     journal: SolveJournal | None = None,
     **options: Any,
 ) -> list[Any]:
     """Warm-started sweep over one topology, sharded across processes.
 
     Unlike :func:`solve_many` — which ships every point to whichever
-    worker is free — this chunks the sweep into ``chunks`` (default:
-    ``jobs``) *contiguous* shards and runs each shard through
-    :func:`repro.ebf.solve_sweep` inside one worker, so the
+    worker is free — this splits the sweep into ``jobs`` *contiguous*
+    shards and runs each shard as one :func:`~repro.perf.run_many` task
+    through :func:`repro.ebf.solve_sweep` inside one worker, so the
     :class:`~repro.ebf.WarmStart` state stays process-local and every
     point after a shard's first still gets the warm seeding.  Extra
     keywords (``warm=``, ``backend=``, ...) pass through to
@@ -219,68 +174,71 @@ def solve_sweep_sharded(
 
     Returns the :class:`~repro.ebf.LubtSolution` list in sweep order.
     ``jobs=1`` with no timeout runs inline — identical to calling
-    ``solve_sweep`` directly.  Raw edge vectors (and costs, at the last
-    ulp) can depend on the chunking because warm seeding selects among
-    degenerate LP optima; report costs through
-    :func:`repro.ebf.canonical_cost` for chunking-invariant output.
+    ``solve_sweep`` directly, exceptions included; a parallel sweep
+    raises :class:`~repro.perf.TaskError` for its first failed shard.
+    Raw edge vectors (and costs, at the last ulp) can depend on the
+    sharding because warm seeding selects among degenerate LP optima;
+    report costs through :func:`repro.ebf.canonical_cost` for
+    sharding-invariant output.
 
     With a ``journal``, points whose canonical instance key is already
-    recorded are replayed; only the missing points are swept (as their
-    own contiguous sub-sweep), with each shard's records fsync'd as it
-    completes.  Resumed sweeps therefore re-chunk the *remaining*
-    points — same caveat as above: chunking-invariant at the
+    recorded are replayed; only the missing points are swept (as
+    contiguous shards of their own), and each shard's records are
+    fsync'd the moment that shard finishes — a failed or killed shard
+    never holds back the others.  Resumed sweeps therefore re-shard the
+    *remaining* points — same caveat as above: sharding-invariant at the
     :func:`repro.ebf.canonical_cost` level, where every experiment
     table reports.
     """
     bounds_list = list(bounds_list)
-    if journal is None:
-        spans = sweep_chunks(
-            len(bounds_list), chunks if chunks else max(1, jobs)
-        )
-        shard_results = map_many(
+    results: list[Any] = [None] * len(bounds_list)
+    missing = list(range(len(bounds_list)))
+    keys: list[str] | None = None
+    done: dict[str, dict] = {}
+    if journal is not None:
+        keys = [_task_key(topo, b, options) for b in bounds_list]
+        done = journal.load()
+        missing = []
+        for i, b in enumerate(bounds_list):
+            rec = done.get(keys[i])
+            if rec is not None:
+                results[i] = solution_from_record(rec, topo, b)
+                journal.replayed += 1
+            else:
+                missing.append(i)
+
+    spans = sweep_chunks(len(missing), max(1, jobs))
+    shards = [missing[a:b] for a, b in spans]
+    shard_args = [
+        (topo, [bounds_list[i] for i in shard], options) for shard in shards
+    ]
+
+    def _commit(k: int, sols: list[Any]) -> None:
+        for i, sol in zip(shards[k], sols):
+            results[i] = sol
+            if journal is not None and keys[i] not in done:
+                rec = solution_to_record(sol)
+                journal.append(keys[i], rec)
+                done[keys[i]] = rec
+
+    def _shard_done(o: TaskOutcome) -> None:
+        if o.ok:
+            _commit(o.index, o.value)
+
+    if jobs == 1 and timeout is None:
+        # Inline, as run_many would run it, but a failing point raises
+        # its own exception, exactly like solve_sweep.
+        for k, args in enumerate(shard_args):
+            _commit(k, _solve_sweep_chunk(*args))
+    else:
+        outcomes = run_many(
             _solve_sweep_chunk,
-            [(topo, bounds_list[a:b], options) for a, b in spans],
+            shard_args,
             jobs=jobs,
             timeout=timeout,
-            start_method=start_method,
+            on_result=_shard_done,
         )
-        return [sol for shard in shard_results for sol in shard]
-
-    keys = [_task_key(topo, b, options) for b in bounds_list]
-    done = journal.load()
-    results: list[Any] = [None] * len(bounds_list)
-    missing: list[int] = []
-    for i, b in enumerate(bounds_list):
-        rec = done.get(keys[i])
-        if rec is not None:
-            results[i] = solution_from_record(rec, topo, b)
-            journal.replayed += 1
-        else:
-            missing.append(i)
-    if missing:
-        spans = sweep_chunks(
-            len(missing), chunks if chunks else max(1, jobs)
-        )
-        # One wave of shards at a time so every completed shard is
-        # durable before the next wave starts (a SIGKILL costs at most
-        # the in-flight wave).
-        for wave in _waves(spans, max(1, jobs)):
-            shard_results = map_many(
-                _solve_sweep_chunk,
-                [
-                    (topo, [bounds_list[i] for i in missing[a:b]], options)
-                    for a, b in wave
-                ],
-                jobs=jobs,
-                timeout=timeout,
-                start_method=start_method,
-            )
-            for (a, b), shard in zip(wave, shard_results):
-                for i, sol in zip(missing[a:b], shard):
-                    results[i] = sol
-                    if keys[i] not in done:
-                        rec = solution_to_record(sol)
-                        journal.append(keys[i], rec)
-                        done[keys[i]] = rec
+        for o in outcomes:
+            o.unwrap()
     assert all(r is not None for r in results)
     return results

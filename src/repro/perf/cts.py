@@ -30,7 +30,6 @@ from repro.data.placement import (
 from repro.perf.batch import SolveTask, solve_many
 from repro.perf.journal import SolveJournal
 from repro.perf.pool import TaskOutcome, WorkerPool
-from repro.perf.scheduler import DEFAULT_CHUNK_SECONDS, DEFAULT_MAX_CHUNK
 
 #: Default per-net delay window, as multiples of the net radius (the
 #: Tables 1-3 convention: sinks no closer than 0.8x and no farther than
@@ -93,15 +92,13 @@ class CtsReport:
                 f"journal: {self.replayed} replayed, "
                 f"{self.appended} appended"
             )
-        if self.scheduler:
-            s = self.scheduler
-            if s.get("chunks_dispatched"):
-                lines.append(
-                    f"scheduler: {s['tasks_done']} tasks in "
-                    f"{s['chunks_dispatched']} chunks "
-                    f"(pool reuse {s.get('pool_reuse', 0)}, "
-                    f"{s.get('workers_replaced', 0)} workers replaced)"
-                )
+        s = self.scheduler
+        if s.get("tasks_run"):
+            lines.append(
+                f"pool: {s['tasks_run']} tasks on {s['jobs']} workers "
+                f"(pool reuse {s['pool_reuse']}, "
+                f"{s['workers_replaced']} workers replaced)"
+            )
         return "\n".join(lines)
 
 
@@ -163,20 +160,21 @@ def run_cts(
     nets: int | None = None,
     max_sinks_per_net: int | None = None,
     pool: WorkerPool | None = None,
-    chunk_seconds: float = DEFAULT_CHUNK_SECONDS,
-    max_chunk: int = DEFAULT_MAX_CHUNK,
     solve_options: Mapping[str, Any] | None = None,
     on_net: Callable[[CtsNetResult], Any] | None = None,
     tasks: Sequence[tuple[ClockNet, SolveTask]] | None = None,
 ) -> CtsReport:
     """Solve every clock net of a placement; return a :class:`CtsReport`.
 
-    ``jobs``/``timeout``/``journal``/``pool``/``chunk_seconds`` thread
-    straight into :func:`repro.perf.solve_many` — the batch runs on a
-    resident pool with chunked dispatch, per-completion journal appends,
-    and timeout kills scoped to the offending net.  ``on_net`` fires per
-    net in completion order.  ``jobs=1`` (no timeout/pool) runs inline
-    serially; per-net costs are bit-identical between the two paths.
+    ``jobs``/``timeout``/``journal``/``pool`` thread straight into
+    :func:`repro.perf.solve_many` — the batch runs on a resident pool
+    with chunked dispatch, per-completion journal appends, and timeout
+    kills scoped to the offending net.  Without ``pool=`` a parallel run
+    forks its own ``min(jobs, nets)`` workers and closes them afterwards;
+    either way the report's ``scheduler`` block carries that pool's
+    counters.  ``on_net`` fires per net in completion order.  ``jobs=1``
+    (no timeout/pool) runs inline serially; per-net costs are
+    bit-identical between the two paths.
 
     ``tasks`` (from :func:`cts_tasks`) skips re-extraction when the
     caller already built the task list — e.g. to time workload prep and
@@ -212,16 +210,22 @@ def run_cts(
     t0 = time.perf_counter()
     replayed0 = journal.replayed if journal is not None else 0
     appended0 = journal.appended if journal is not None else 0
-    outcomes = solve_many(
-        [t for _, t in pairs],
-        jobs=jobs,
-        timeout=timeout,
-        journal=journal,
-        pool=pool,
-        chunk_seconds=chunk_seconds,
-        max_chunk=max_chunk,
-        on_result=_on_result,
-    )
+    own_pool = pool is None and (jobs > 1 or timeout is not None)
+    if own_pool:
+        pool = WorkerPool(max(1, min(jobs, len(pairs))))
+    try:
+        outcomes = solve_many(
+            [t for _, t in pairs],
+            jobs=jobs,
+            timeout=timeout,
+            journal=journal,
+            pool=pool,
+            on_result=_on_result,
+        )
+        scheduler_stats = pool.stats() if pool is not None else {}
+    finally:
+        if own_pool:
+            pool.close()
     wall = time.perf_counter() - t0
 
     assert all(r is not None for r in net_results)
@@ -235,9 +239,6 @@ def run_cts(
         k = min(len(seconds) - 1, max(0, int(round(q * (len(seconds) - 1)))))
         return seconds[k]
 
-    scheduler_stats: dict[str, Any] = {}
-    if pool is not None:
-        scheduler_stats = dict(pool.stats())
     if not outcomes:
         wall = max(wall, 1e-12)
     return CtsReport(

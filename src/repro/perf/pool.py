@@ -1,11 +1,12 @@
-"""A small process pool with hard per-task timeouts.
+"""Resident worker processes with hard per-task timeouts.
 
 ``multiprocessing.Pool``/``ProcessPoolExecutor`` cannot cancel a running
 task — exactly the failure mode that matters for LP solves (a degenerate
-model can spin for minutes).  Here every task gets its own worker
-process; on timeout the process is killed (SIGKILL) and joined, so the
-CPU is actually reclaimed.  Results come back over a per-task pipe and
-are returned in submission order.
+model can spin for minutes).  A :class:`WorkerPool` forks its workers
+once and ships them chunks of tasks over duplex pipes; a task that
+overruns its timeout gets its worker killed (SIGKILL) and replaced, so
+the CPU is actually reclaimed.  Batches run on top of it through
+:mod:`repro.perf.scheduler`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing import connection
 from typing import Any, Callable, Sequence
 
 
@@ -91,214 +91,26 @@ def _args_preview(args: tuple, limit: int = 120) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _worker_main(fn, args, conn_out) -> None:
-    try:
-        conn_out.send(("ok", fn(*args)))
-    except BaseException as exc:  # noqa: BLE001 — boundary to the parent
-        try:
-            conn_out.send(
-                ("err", f"{type(exc).__name__}: {exc}\n"
-                        f"{traceback.format_exc(limit=5)}")
-            )
-        except Exception:  # noqa: BLE001 — parent may already be gone
-            pass
-    finally:
-        conn_out.close()
-
-
 def _pool_context(start_method: str | None):
     if start_method is not None:
         return mp.get_context(start_method)
-    # fork keeps worker startup cheap and avoids any picklability
-    # requirement on ``fn`` itself; fall back where it doesn't exist.
+    # fork keeps worker startup cheap; fall back where it doesn't exist.
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-class _Live:
-    __slots__ = ("index", "proc", "conn", "started")
-
-    def __init__(self, index, proc, conn, started):
-        self.index = index
-        self.proc = proc
-        self.conn = conn
-        self.started = started
-
-
-def run_many(
-    fn: Callable,
-    args_list: Sequence[tuple],
-    *,
-    jobs: int = 1,
-    timeout: float | None = None,
-    start_method: str | None = None,
-) -> list[TaskOutcome]:
-    """Run ``fn(*args)`` for every tuple in ``args_list``; return ordered
-    :class:`TaskOutcome` records.
-
-    ``jobs`` bounds concurrent worker processes.  ``timeout`` is a hard
-    per-task wall-clock limit: an overdue worker is killed and its
-    outcome marked ``timed_out``.  With ``jobs=1`` and no timeout the
-    tasks run inline in the calling process (the exact serial path —
-    no pickling, no subprocesses), which is what makes serial and
-    parallel experiment tables comparable byte for byte.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = list(enumerate(args_list))
-    if jobs == 1 and timeout is None:
-        out = []
-        for i, args in tasks:
-            t0 = time.perf_counter()
-            try:
-                out.append(TaskOutcome(i, True, fn(*args),
-                                       elapsed=time.perf_counter() - t0))
-            except Exception as exc:  # noqa: BLE001
-                out.append(TaskOutcome(
-                    i, False, error=f"{type(exc).__name__}: {exc}",
-                    elapsed=time.perf_counter() - t0,
-                ))
-        return out
-
-    ctx = _pool_context(start_method)
-    results: list[TaskOutcome | None] = [None] * len(tasks)
-    pending = list(reversed(tasks))
-    live: dict[int, _Live] = {}
-
-    def _launch() -> None:
-        index, args = pending.pop()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main, args=(fn, args, child_conn), daemon=True
-        )
-        proc.start()
-        child_conn.close()  # parent keeps only the read end
-        live[index] = _Live(index, proc, parent_conn, time.perf_counter())
-
-    def _finish(lv: _Live) -> None:
-        elapsed = time.perf_counter() - lv.started
-        crashed = False
-        try:
-            kind, payload = lv.conn.recv()
-        except (EOFError, OSError):
-            # The worker died without writing a payload (OOM kill,
-            # abort, os._exit): its pipe is ready with EOF.  Join first
-            # so exitcode is populated for the message.
-            crashed = True
-            lv.proc.join()
-            kind, payload = "err", (
-                f"worker died without a result "
-                f"(exit code {lv.proc.exitcode})"
-            )
-        except Exception as exc:  # noqa: BLE001 — undecodable payload
-            # (e.g. unpicklable object written by a dying worker) must
-            # become an outcome, not escape and orphan the other workers.
-            kind, payload = "err", (
-                f"undecodable worker payload: {type(exc).__name__}: {exc}"
-            )
-        finally:
-            lv.conn.close()
-        lv.proc.join()
-        if kind == "ok":
-            results[lv.index] = TaskOutcome(lv.index, True, payload,
-                                            elapsed=elapsed)
-        else:
-            results[lv.index] = TaskOutcome(lv.index, False, error=payload,
-                                            crashed=crashed, elapsed=elapsed)
-        del live[lv.index]
-
-    def _kill(lv: _Live) -> None:
-        elapsed = time.perf_counter() - lv.started
-        lv.proc.kill()
-        lv.proc.join()
-        lv.conn.close()
-        results[lv.index] = TaskOutcome(
-            lv.index, False, timed_out=True, elapsed=elapsed,
-            error=f"exceeded {timeout:g}s wall clock (worker killed)",
-        )
-        del live[lv.index]
-
-    try:
-        while pending or live:
-            while pending and len(live) < jobs:
-                _launch()
-            if timeout is None:
-                wait_for = None
-            else:
-                now = time.perf_counter()
-                wait_for = max(
-                    0.0,
-                    min(lv.started + timeout for lv in live.values()) - now,
-                )
-            ready = connection.wait(
-                [lv.conn for lv in live.values()], timeout=wait_for
-            )
-            ready_set = set(ready)
-            for lv in [lv for lv in live.values() if lv.conn in ready_set]:
-                _finish(lv)
-            if timeout is not None:
-                now = time.perf_counter()
-                for lv in [
-                    lv for lv in live.values()
-                    if now - lv.started >= timeout
-                ]:
-                    _kill(lv)
-    finally:
-        # On any parent-side error, reclaim every worker before raising.
-        for lv in list(live.values()):
-            lv.proc.kill()
-            lv.proc.join()
-            lv.conn.close()
-
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
-
-
-def map_many(
-    fn: Callable,
-    args_list: Sequence[tuple],
-    *,
-    jobs: int = 1,
-    timeout: float | None = None,
-    start_method: str | None = None,
-) -> list:
-    """:func:`run_many`, unwrapped: a list of plain return values.
-
-    With ``jobs=1`` and no timeout this is literally
-    ``[fn(*a) for a in args_list]`` — exceptions propagate with their
-    original type, which keeps serial experiment drivers byte-identical
-    to their pre-pool behavior.  Parallel runs raise :class:`TaskError`
-    for the first failed task.
-    """
-    if jobs == 1 and timeout is None:
-        return [fn(*args) for args in args_list]
-    outcomes = run_many(
-        fn, args_list, jobs=jobs, timeout=timeout, start_method=start_method
-    )
-    return [o.unwrap() for o in outcomes]
-
-
-#: First element of a chunk message to a resident worker.  Chunks stream
-#: one reply per item (plus a trailing ``("end", n)``) so the parent can
-#: journal/forward each completion without waiting for the whole chunk.
-_CHUNK_TAG = "__chunk__"
-
-
-def _run_chunk_items(conn, fn, args_list) -> bool:
-    """Run a chunk on a resident worker, streaming per-item replies.
-
-    Each item becomes ``("item", i, "ok"|"err", payload, elapsed)`` the
-    moment it finishes; a trailing ``("end", n)`` closes the chunk.
-    Returns False when the parent pipe died (the worker should exit).
-    """
-    for i, args in enumerate(args_list):
+def _run_chunk(conn, fn, args_list) -> bool:
+    """Run a chunk on a resident worker, in order, sending one
+    ``(ok, value_or_error, elapsed)`` reply per item the moment it
+    finishes.  Returns False when the parent pipe died (the worker
+    should exit)."""
+    for args in args_list:
         t0 = time.perf_counter()
         try:
-            value = fn(*args)
-            reply = ("item", i, "ok", value, time.perf_counter() - t0)
+            reply = (True, fn(*args), time.perf_counter() - t0)
         except BaseException as exc:  # noqa: BLE001 — boundary to the parent
             reply = (
-                "item", i, "err",
+                False,
                 f"{type(exc).__name__}: {exc}\n"
                 f"{traceback.format_exc(limit=5)}",
                 time.perf_counter() - t0,
@@ -307,17 +119,13 @@ def _run_chunk_items(conn, fn, args_list) -> bool:
             conn.send(reply)
         except Exception:  # noqa: BLE001 — parent may already be gone
             return False
-    try:
-        conn.send(("end", len(args_list)))
-    except Exception:  # noqa: BLE001 — parent may already be gone
-        return False
     return True
 
 
-def _resident_worker_main(conn) -> None:
-    """Loop of one resident :class:`WorkerPool` worker: receive
-    ``(fn, args)`` or ``(_CHUNK_TAG, fn, args_list)``, run, reply —
-    until a ``None`` sentinel, EOF, or parent death.
+def _worker_loop(conn) -> None:
+    """Loop of one resident :class:`WorkerPool` worker: receive a
+    ``(fn, args_list)`` chunk, run it, stream the replies — until a
+    ``None`` sentinel, EOF, or parent death.
 
     The explicit parent check matters: sibling workers forked later
     inherit this worker's parent-side pipe end, so if the parent is
@@ -333,24 +141,8 @@ def _resident_worker_main(conn) -> None:
             msg = conn.recv()
         except (EOFError, OSError):
             break
-        if msg is None:
+        if msg is None or not _run_chunk(conn, *msg):
             break
-        if msg[0] == _CHUNK_TAG:
-            _, fn, args_list = msg
-            if not _run_chunk_items(conn, fn, args_list):
-                break
-            continue
-        fn, args = msg
-        try:
-            conn.send(("ok", fn(*args)))
-        except BaseException as exc:  # noqa: BLE001 — boundary to the parent
-            try:
-                conn.send(
-                    ("err", f"{type(exc).__name__}: {exc}\n"
-                            f"{traceback.format_exc(limit=5)}")
-                )
-            except Exception:  # noqa: BLE001 — parent may already be gone
-                break
     try:
         conn.close()
     except OSError:
@@ -358,17 +150,24 @@ def _resident_worker_main(conn) -> None:
 
 
 class _ResidentWorker:
+    """One seat of the pool.  A replacement process takes over the same
+    seat object (:meth:`start` again), so a caller holding the seat
+    never ends up with a stale handle."""
+
     __slots__ = ("proc", "conn", "tasks_done")
 
     def __init__(self, ctx):
+        self.start(ctx)
+
+    def start(self, ctx) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_resident_worker_main, args=(child_conn,), daemon=True
+            target=_worker_loop, args=(child_conn,), daemon=True
         )
         self.proc.start()
         child_conn.close()
-        #: Tasks this worker has been handed (submit counts 1, a chunk
-        #: counts its length) — drives the pool_reuse counter.
+        #: Tasks this process has been handed — drives the pool_reuse
+        #: counter (a replacement starts back at 0, cold).
         self.tasks_done = 0
 
     def stop(self, kill: bool = False) -> None:
@@ -389,20 +188,22 @@ class _ResidentWorker:
 class WorkerPool:
     """Resident worker processes, reused across many submissions.
 
-    :func:`run_many` pays a process start per task — fine for batch
-    tables, wasteful for a long-running service answering a stream of
-    small requests.  A ``WorkerPool`` keeps ``jobs`` workers alive and
-    ships ``(fn, args)`` over their pipes instead.  The hard-kill
-    guarantees survive: a task that exceeds ``timeout`` gets its worker
+    Forking a process per task is wasteful for batch tables and for a
+    long-running service answering a stream of small requests alike.  A
+    ``WorkerPool`` keeps ``jobs`` workers alive and ships chunks of
+    ``(fn, args)`` tasks over their pipes instead.  The hard-kill
+    guarantees hold: a task that exceeds ``timeout`` gets its worker
     killed (and replaced), and a worker that dies mid-task surfaces as a
     ``crashed`` outcome with a fresh worker taking its seat — the pool
     itself never becomes poisoned.
 
-    Thread-safe: concurrent :meth:`submit` calls check out distinct
-    workers (blocking while all are busy), which is what lets an asyncio
-    server fan requests out from executor threads.  ``fn`` and its
-    arguments must be picklable even under the fork start method —
-    resident workers are forked once, so tasks always travel by pipe.
+    Thread-safe: concurrent :meth:`submit_chunk` calls check out
+    distinct workers (blocking while all are busy), which is what lets
+    an asyncio server fan requests out from executor threads and the
+    :class:`~repro.perf.BatchScheduler` drive one dispatch thread per
+    worker.  ``fn`` and its arguments must be picklable even under the
+    fork start method — resident workers are forked once, so tasks
+    always travel by pipe.
     """
 
     def __init__(
@@ -460,83 +261,10 @@ class WorkerPool:
     ) -> TaskOutcome:
         """Run one task on a resident worker; block until it finishes.
 
-        Returns a :class:`TaskOutcome` (index 0).  On timeout the worker
-        is killed and replaced; on a worker crash the outcome is marked
-        ``crashed`` and the seat is refilled.  ``max_consecutive_crashes``
-        crashes in a row (timeouts and reported exceptions don't count;
-        any non-crash outcome resets the streak) raise
-        :class:`PoolCrashLoopError` *after* refilling the seat, so the
-        pool survives its own circuit-break.
+        A one-item :meth:`submit_chunk`: returns its :class:`TaskOutcome`
+        (index 0), with the same timeout, crash and crash-loop handling.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        self._free.acquire()
-        try:
-            with self._lock:
-                worker = self._idle.pop()
-            reused = worker.tasks_done > 0
-            outcome, worker = self._run_on(worker, fn, args, timeout)
-            with self._lock:
-                self._idle.append(worker)
-                self.tasks_run += 1
-                if reused:
-                    self.pool_reuse += 1
-                if outcome.crashed:
-                    self._consecutive_crashes += 1
-                    streak = self._consecutive_crashes
-                else:
-                    self._consecutive_crashes = 0
-                    streak = 0
-            if outcome.crashed and streak >= self._max_consecutive_crashes:
-                fn_name = getattr(fn, "__name__", repr(fn))
-                raise PoolCrashLoopError(
-                    f"workers crashed {streak} times in a row "
-                    f"(cap {self._max_consecutive_crashes}); last task: "
-                    f"{fn_name}{_args_preview(args)} — {outcome.error}"
-                )
-            return outcome
-        finally:
-            self._free.release()
-
-    def _run_on(self, worker, fn, args, timeout):
-        started = time.perf_counter()
-        try:
-            worker.conn.send((fn, args))
-        except (OSError, ValueError):
-            # The worker died while idle; replace it and retry once.
-            worker = self._replace(worker)
-            worker.conn.send((fn, args))
-        # Dispatch-time accounting: the worker that received the message
-        # owns the count (a mid-task replacement starts back at 0/cold).
-        worker.tasks_done += 1
-        if not worker.conn.poll(timeout):
-            worker = self._replace(worker, kill=True)
-            return TaskOutcome(
-                0, False, timed_out=True,
-                elapsed=time.perf_counter() - started,
-                error=f"exceeded {timeout:g}s wall clock (worker killed)",
-            ), worker
-        crashed = False
-        try:
-            kind, payload = worker.conn.recv()
-        except (EOFError, OSError):
-            crashed = True
-            worker.proc.join()
-            kind, payload = "err", (
-                f"worker died without a result "
-                f"(exit code {worker.proc.exitcode})"
-            )
-            worker = self._replace(worker)
-        except Exception as exc:  # noqa: BLE001 — undecodable payload
-            kind, payload = "err", (
-                f"undecodable worker payload: {type(exc).__name__}: {exc}"
-            )
-        elapsed = time.perf_counter() - started
-        if kind == "ok":
-            return TaskOutcome(0, True, payload, elapsed=elapsed), worker
-        return TaskOutcome(
-            0, False, error=payload, crashed=crashed, elapsed=elapsed
-        ), worker
+        return self.submit_chunk(fn, [args], timeout=timeout).outcomes[0]
 
     def submit_chunk(
         self,
@@ -551,9 +279,11 @@ class WorkerPool:
         The worker runs the items in order and streams one reply per
         item; ``on_item(outcome)`` (when given) fires from the calling
         thread the moment an item's reply arrives (``outcome.index`` is
-        the chunk position) — this is what lets
-        a batch driver journal every completion without waiting for the
-        chunk, let alone the batch.
+        the chunk position) — this is what lets a batch driver journal
+        every completion without waiting for the chunk, let alone the
+        batch.  If ``on_item`` raises, the worker (whose pipe still holds
+        replies nobody will read) is killed and replaced before the
+        exception propagates, so the seat is never lost.
 
         ``timeout`` is **per item**, measured from the previous item's
         reply.  When it expires, only the item the worker is currently
@@ -563,6 +293,11 @@ class WorkerPool:
         their indices in :attr:`ChunkResult.pending`, so the caller
         resubmits exactly those — not the whole chunk.  A worker crash
         mid-chunk is scoped the same way.
+
+        ``max_consecutive_crashes`` crashes in a row (timeouts and
+        reported exceptions don't count; any other outcome resets the
+        streak) raise :class:`PoolCrashLoopError` *after* refilling the
+        seat, so the pool survives its own circuit-break.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -574,185 +309,127 @@ class WorkerPool:
             with self._lock:
                 worker = self._idle.pop()
             reused = worker.tasks_done > 0
-            outcomes, worker, offender_crashed = self._run_chunk_on(
-                worker, fn, args_list, timeout, on_item
+            try:
+                outcomes, offender = self._run_chunk_on(
+                    worker, fn, args_list, timeout, on_item
+                )
+            except BaseException:  # noqa: BLE001 — e.g. on_item raised
+                # mid-chunk: the pipe may still hold replies nobody will
+                # read, so the worker is retired (its seat refilled)
+                # before re-raising.
+                self._replace(worker, kill=True)
+                raise
+            finally:
+                with self._lock:
+                    self._idle.append(worker)
+            result = ChunkResult(
+                tuple(outcomes),
+                tuple(i for i, o in enumerate(outcomes) if o is None),
             )
-            completed = sum(1 for o in outcomes if o is not None)
+            completed = result.completed
+            crashed = offender is not None and outcomes[offender].crashed
             with self._lock:
-                self._idle.append(worker)
                 self.tasks_run += completed
                 self.pool_reuse += max(0, completed - (0 if reused else 1))
-                if offender_crashed:
+                if crashed:
                     self._consecutive_crashes += 1
-                    streak = self._consecutive_crashes
                 else:
                     self._consecutive_crashes = 0
-                    streak = 0
-            if offender_crashed and streak >= self._max_consecutive_crashes:
-                fn_name = getattr(fn, "__name__", repr(fn))
-                raise PoolCrashLoopError(
-                    f"workers crashed {streak} times in a row "
-                    f"(cap {self._max_consecutive_crashes}); last task: "
-                    f"{fn_name}{_args_preview(args_list[completed - 1])}"
-                )
-            pending = tuple(
-                i for i, o in enumerate(outcomes) if o is None
-            )
-            return ChunkResult(tuple(outcomes), pending)
+                streak = self._consecutive_crashes
         finally:
             self._free.release()
+        if offender is not None and on_item is not None:
+            on_item(outcomes[offender])
+        if crashed and streak >= self._max_consecutive_crashes:
+            fn_name = getattr(fn, "__name__", repr(fn))
+            raise PoolCrashLoopError(
+                f"workers crashed {streak} times in a row "
+                f"(cap {self._max_consecutive_crashes}); last task: "
+                f"{fn_name}{_args_preview(args_list[offender])} — "
+                f"{outcomes[offender].error}"
+            )
+        return result
 
     def _run_chunk_on(self, worker, fn, args_list, timeout, on_item):
-        """Stream one chunk through ``worker``; returns
-        ``(outcomes, worker, offender_crashed)`` with ``None`` outcomes
-        for survivors the worker never started."""
+        """Stream one chunk through ``worker``.
+
+        Returns ``(outcomes, offender)``: ``None`` outcomes for survivors
+        the worker never started, and the index of the item that timed
+        out, crashed the worker or sent an undecodable reply (its seat
+        already refilled), or ``None``.  ``on_item`` fires here for the
+        items the worker reported; the offender's callback is left to
+        the caller, which fires it once the seat is back in the pool.
+        """
         n = len(args_list)
         outcomes: list[TaskOutcome | None] = [None] * n
-        started = time.perf_counter()
         try:
-            worker.conn.send((_CHUNK_TAG, fn, args_list))
+            worker.conn.send((fn, args_list))
         except (OSError, ValueError):
             # The worker died while idle; replace it and retry once.
-            worker = self._replace(worker)
-            worker.conn.send((_CHUNK_TAG, fn, args_list))
-        worker.tasks_done += n  # dispatch-time accounting, as in _run_on
-        next_item = 0  # first index the worker has not reported yet
-        while True:
+            self._replace(worker)
+            worker.conn.send((fn, args_list))
+        worker.tasks_done += n  # dispatch-time accounting
+        for i in range(n):
+            started = time.perf_counter()
             if not worker.conn.poll(timeout):
-                # The worker is stuck on `next_item` (items run in
-                # order); kill it and leave the rest pending.
-                worker = self._replace(worker, kill=True)
-                outcomes[next_item] = TaskOutcome(
-                    next_item, False, timed_out=True,
-                    elapsed=timeout if timeout is not None else 0.0,
+                # The worker is stuck on item i (items run in order);
+                # kill it and leave the rest pending.
+                self._replace(worker, kill=True)
+                outcomes[i] = TaskOutcome(
+                    i, False, timed_out=True, elapsed=timeout,
                     error=f"exceeded {timeout:g}s wall clock (worker "
-                          f"killed; {n - next_item - 1} chunk "
+                          f"killed; {n - i - 1} chunk survivor(s) left "
+                          f"pending)",
+                )
+                return outcomes, i
+            try:
+                ok, payload, elapsed = worker.conn.recv()
+            except (EOFError, OSError):
+                # Died without a reply (OOM kill, abort, os._exit): join
+                # first so exitcode is populated for the message.
+                worker.proc.join()
+                outcomes[i] = TaskOutcome(
+                    i, False, crashed=True,
+                    elapsed=time.perf_counter() - started,
+                    error=f"worker died without a result (exit code "
+                          f"{worker.proc.exitcode}; {n - i - 1} chunk "
                           f"survivor(s) left pending)",
                 )
-                if on_item is not None:
-                    on_item(outcomes[next_item])
-                return outcomes, worker, False
-            try:
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                crashed_elapsed = time.perf_counter() - started
-                worker.proc.join()
-                outcomes[next_item] = TaskOutcome(
-                    next_item, False, crashed=True,
-                    elapsed=crashed_elapsed,
-                    error=f"worker died without a result (exit code "
-                          f"{worker.proc.exitcode}; {n - next_item - 1} "
-                          f"chunk survivor(s) left pending)",
-                )
-                worker = self._replace(worker)
-                if on_item is not None:
-                    on_item(outcomes[next_item])
-                return outcomes, worker, True
+                self._replace(worker)
+                return outcomes, i
             except Exception as exc:  # noqa: BLE001 — undecodable payload:
                 # the pipe's framing can no longer be trusted, so the
                 # worker is retired and the survivors left pending.
-                worker = self._replace(worker, kill=True)
-                outcomes[next_item] = TaskOutcome(
-                    next_item, False,
+                self._replace(worker, kill=True)
+                outcomes[i] = TaskOutcome(
+                    i, False,
                     elapsed=time.perf_counter() - started,
                     error=f"undecodable worker payload: "
                           f"{type(exc).__name__}: {exc}",
                 )
-                if on_item is not None:
-                    on_item(outcomes[next_item])
-                return outcomes, worker, False
-            if msg[0] == "end":
-                break
-            _, i, kind, payload, elapsed = msg
-            if kind == "ok":
+                return outcomes, i
+            if ok:
                 outcomes[i] = TaskOutcome(i, True, payload, elapsed=elapsed)
             else:
                 outcomes[i] = TaskOutcome(
                     i, False, error=payload, elapsed=elapsed
                 )
-            next_item = i + 1
             if on_item is not None:
                 on_item(outcomes[i])
-        return outcomes, worker, False
+        return outcomes, None
 
-    def imap_unordered(
-        self,
-        fn: Callable,
-        args_list: Sequence[tuple],
-        *,
-        timeout: float | None = None,
-    ):
-        """Yield :class:`TaskOutcome` records in **completion order**.
-
-        ``outcome.index`` is the submission index, so callers can match
-        results to inputs while still acting on each completion as it
-        lands (journal appends, progress, early aborts).  Abandoning the
-        generator early blocks until the in-flight submissions finish.
-        """
-        import queue as queue_mod
-        from concurrent.futures import ThreadPoolExecutor
-
-        args_list = list(args_list)
-        done: queue_mod.Queue = queue_mod.Queue()
-
-        def _one(i: int, args: tuple) -> None:
-            try:
-                o = self.submit(fn, args, timeout=timeout)
-                done.put(TaskOutcome(i, o.ok, o.value, o.error,
-                                     o.timed_out, o.crashed, o.elapsed))
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                done.put(exc)
-
-        tpe = ThreadPoolExecutor(max_workers=self._jobs)
-        try:
-            for i, args in enumerate(args_list):
-                tpe.submit(_one, i, args)
-            for _ in range(len(args_list)):
-                item = done.get()
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
-        finally:
-            tpe.shutdown(wait=True)
-
-    def _replace(self, worker, kill: bool = False) -> _ResidentWorker:
+    def _replace(self, worker: _ResidentWorker, kill: bool = False) -> None:
+        """Stop ``worker``'s process and start a fresh one in its seat."""
         worker.stop(kill=kill)
-        fresh = _ResidentWorker(self._ctx)
+        worker.start(self._ctx)
         with self._lock:
-            self._workers.discard(worker)
-            self._workers.add(fresh)
             self.workers_replaced += 1
-        return fresh
 
     def worker_processes(self) -> list:
         """Live worker :class:`multiprocessing.Process` handles (busy and
         idle) — the chaos harness kills these to exercise crash paths."""
         with self._lock:
             return [w.proc for w in self._workers]
-
-    def run_many(
-        self,
-        fn: Callable,
-        args_list: Sequence[tuple],
-        *,
-        timeout: float | None = None,
-    ) -> list[TaskOutcome]:
-        """Fan ``args_list`` across the resident workers (ordered)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=self._jobs) as tpe:
-            futs = [
-                tpe.submit(self.submit, fn, args, timeout=timeout)
-                for args in args_list
-            ]
-            out = []
-            for i, f in enumerate(futs):
-                o = f.result()
-                out.append(
-                    TaskOutcome(i, o.ok, o.value, o.error, o.timed_out,
-                                o.crashed, o.elapsed)
-                )
-            return out
 
     def close(self) -> None:
         """Stop every worker (idle ones get the sentinel, gracefully)."""

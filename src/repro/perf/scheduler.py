@@ -1,11 +1,11 @@
-"""Chunked batch scheduler over the resident :class:`~repro.perf.WorkerPool`.
+"""The repo's one batch executor: :func:`run_many` over a resident pool.
 
-:func:`repro.perf.run_many` pays a process start per task and
-:func:`~repro.perf.solve_many`'s old journal mode committed in
-barrier-synchronized waves of ``jobs`` tasks.  Both costs are invisible
-while an LP solve takes seconds — and dominant once the tree backend
-makes a per-net solve sub-100ms and a chip-scale CTS run pushes 10k nets
-through one command.  The :class:`BatchScheduler` removes them:
+Every batch of independent tasks — experiment tables, bound-sweep
+shards, journaled solve batches, chip-scale CTS runs — goes through
+:func:`run_many`.  Serially (``jobs=1``, no timeout, no pool) it is a
+plain loop in the calling process; otherwise it runs the batch through a
+:class:`BatchScheduler` on a resident :class:`~repro.perf.WorkerPool`
+(the caller's, or one forked for the call):
 
 * **fork once** — tasks run on a resident pool's workers, shipped over
   already-open pipes instead of fresh processes;
@@ -25,6 +25,7 @@ through one command.  The :class:`BatchScheduler` removes them:
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Any, Callable, Sequence
 
@@ -37,6 +38,9 @@ DEFAULT_CHUNK_SECONDS = 0.25
 
 #: Hard ceiling on tasks per chunk, whatever the EWMA says.
 DEFAULT_MAX_CHUNK = 64
+
+#: Weight of the newest per-task time in the EWMA.
+_EWMA_ALPHA = 0.25
 
 
 class BatchScheduler:
@@ -54,19 +58,11 @@ class BatchScheduler:
         pool: WorkerPool,
         *,
         chunk_seconds: float = DEFAULT_CHUNK_SECONDS,
-        max_chunk: int = DEFAULT_MAX_CHUNK,
-        ewma_alpha: float = 0.25,
     ) -> None:
         if chunk_seconds <= 0:
             raise ValueError(f"chunk_seconds must be > 0, got {chunk_seconds}")
-        if max_chunk < 1:
-            raise ValueError(f"max_chunk must be >= 1, got {max_chunk}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self.pool = pool
         self.chunk_seconds = chunk_seconds
-        self.max_chunk = max_chunk
-        self.ewma_alpha = ewma_alpha
         self._lock = threading.Lock()
         # EWMA of per-task seconds; None until the first completion, so
         # the first chunks are size 1 (probes) rather than a guess.
@@ -84,7 +80,7 @@ class BatchScheduler:
             if self._ewma is None:
                 self._ewma = elapsed
             else:
-                a = self.ewma_alpha
+                a = _EWMA_ALPHA
                 self._ewma = a * elapsed + (1.0 - a) * self._ewma
 
     def chunk_size(self) -> int:
@@ -93,7 +89,7 @@ class BatchScheduler:
             ewma = self._ewma
         if ewma is None:
             return 1
-        return max(1, min(self.max_chunk,
+        return max(1, min(DEFAULT_MAX_CHUNK,
                           int(self.chunk_seconds / max(ewma, 1e-9))))
 
     def stats(self) -> dict:
@@ -207,3 +203,82 @@ class BatchScheduler:
             raise failure[0]
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
+
+
+def run_many(
+    fn: Callable,
+    args_list: Sequence[tuple],
+    *,
+    jobs: int = 1,
+    timeout: float | None = None,
+    pool: WorkerPool | None = None,
+    on_result: Callable[[TaskOutcome], Any] | None = None,
+) -> list[TaskOutcome]:
+    """Run ``fn(*args)`` for every tuple in ``args_list``; return ordered
+    :class:`TaskOutcome` records.
+
+    With ``jobs=1``, no ``timeout`` and no ``pool`` the tasks run inline
+    in the calling process (the exact serial path — no pickling, no
+    subprocesses), which is what makes serial and parallel experiment
+    tables comparable byte for byte.  Otherwise the batch runs through a
+    :class:`BatchScheduler` on ``pool`` (whose size then sets the
+    parallelism), or on a ``WorkerPool(min(jobs, len(args_list)))``
+    forked for the call and closed before returning.  ``fn`` and its
+    arguments then travel by pipe, so they must be picklable.
+
+    ``timeout`` is a hard per-task wall-clock limit: an overdue task's
+    worker is killed and its outcome marked ``timed_out``.
+    ``on_result(outcome)`` fires once per task in completion order
+    (``outcome.index`` is the task's position in ``args_list``).
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    args_list = list(args_list)
+    if pool is not None:
+        return BatchScheduler(pool).run(
+            fn, args_list, timeout=timeout, on_result=on_result
+        )
+    if jobs == 1 and timeout is None:
+        out = []
+        for i, args in enumerate(args_list):
+            t0 = time.perf_counter()
+            try:
+                outcome = TaskOutcome(
+                    i, True, fn(*args), elapsed=time.perf_counter() - t0
+                )
+            except Exception as exc:  # noqa: BLE001 — outcome boundary
+                outcome = TaskOutcome(
+                    i, False, error=f"{type(exc).__name__}: {exc}",
+                    elapsed=time.perf_counter() - t0,
+                )
+            out.append(outcome)
+            if on_result is not None:
+                on_result(outcome)
+        return out
+    if not args_list:
+        return []
+    with WorkerPool(min(jobs, len(args_list))) as own:
+        return BatchScheduler(own).run(
+            fn, args_list, timeout=timeout, on_result=on_result
+        )
+
+
+def map_many(
+    fn: Callable,
+    args_list: Sequence[tuple],
+    *,
+    jobs: int = 1,
+    timeout: float | None = None,
+) -> list:
+    """:func:`run_many`, unwrapped: a list of plain return values.
+
+    With ``jobs=1`` and no timeout this is literally
+    ``[fn(*a) for a in args_list]`` — exceptions propagate with their
+    original type, which keeps serial experiment drivers byte-identical
+    to their pre-pool behavior.  Parallel runs raise
+    :class:`~repro.perf.TaskError` for the first failed task.
+    """
+    if jobs == 1 and timeout is None:
+        return [fn(*args) for args in args_list]
+    outcomes = run_many(fn, args_list, jobs=jobs, timeout=timeout)
+    return [o.unwrap() for o in outcomes]

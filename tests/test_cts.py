@@ -157,3 +157,18 @@ class TestRunCts:
         report = run_cts(placement)
         text = report.summary()
         assert "nets solved" in text and "nets/s" in text
+
+    def test_parallel_summary_reports_pool_counters(self):
+        # run_cts forks its own pool here; its counters still reach the
+        # report and the summary line.
+        report = run_cts(
+            synth_placement(nets=40, sinks_per_net=5, seed=0), jobs=2
+        )
+        assert report.scheduler["tasks_run"] == report.nets
+        assert report.scheduler["workers_replaced"] == 0
+        assert "pool reuse" in report.summary()
+
+    def test_shared_pool_summary_reports_pool_counters(self, placement):
+        with WorkerPool(2) as pool:
+            report = run_cts(placement, jobs=2, pool=pool)
+        assert "pool reuse" in report.summary()

@@ -15,13 +15,15 @@ import numpy as np
 import pytest
 
 from repro.data import load_benchmark
-from repro.ebf import DelayBounds
+from repro.ebf import DelayBounds, canonical_cost
 from repro.experiments import render_table3, run_table3
 from repro.geometry import manhattan_radius_from
+from repro.lp import InfeasibleError
 from repro.perf import (
     JournalError,
     SolveJournal,
     SolveTask,
+    TaskError,
     solution_from_record,
     solution_to_record,
     solve_many,
@@ -144,8 +146,6 @@ class TestSolveManyResume:
                 task.topo, bounds_list, warm=False, journal=j
             )
             assert j.replayed == 2 and j.appended == 2
-        from repro.ebf import canonical_cost
-
         assert [canonical_cost(s.cost) for s in resumed] == [
             canonical_cost(s.cost) for s in cold
         ]
@@ -196,6 +196,51 @@ class TestPerCompletionAppends:
         order = sorted(seen, key=seen.get)
         for rank, i in enumerate(order):
             assert seen[i] == rank + 1
+
+
+class TestSweepShardDurability:
+    """A sharded sweep journals each shard the moment it finishes: a
+    failing shard cannot keep a healthy one's points out of the
+    journal."""
+
+    def sweep(self):
+        tasks = tasks_for(size=12, windows=EIGHT_WINDOWS[:7])
+        bounds = [t.bounds for t in tasks]
+        return tasks[0].topo, bounds + [DelayBounds.uniform(12, 0.0, 1e-9)]
+
+    def test_failed_shard_keeps_the_healthy_shard_journaled(self, tmp_path):
+        topo, bounds = self.sweep()
+        path = tmp_path / "sweep.jsonl"
+        with SolveJournal(path) as j:
+            with pytest.raises(TaskError, match="Infeasible"):
+                solve_sweep_sharded(
+                    topo, bounds, jobs=2, journal=j, check_bounds=False
+                )
+            # Shard [0, 4) is healthy; shard [4, 8) ends infeasible.
+            assert j.appended == 4
+        assert len(SolveJournal(path).load()) == 4
+
+        with SolveJournal(path) as j:
+            resumed = solve_sweep_sharded(
+                topo, bounds[:7], jobs=2, journal=j, check_bounds=False
+            )
+            # Only the failed shard's feasible points are solved again.
+            assert j.replayed == 4 and j.appended == 3
+        cold = solve_sweep_sharded(topo, bounds[:7], check_bounds=False)
+        assert [canonical_cost(s.cost) for s in resumed] == [
+            canonical_cost(s.cost) for s in cold
+        ]
+
+    def test_serial_sweep_raises_the_solver_error_itself(self, tmp_path):
+        topo, bounds = self.sweep()
+        with SolveJournal(tmp_path / "sweep.jsonl") as j:
+            with pytest.raises(InfeasibleError):
+                solve_sweep_sharded(
+                    topo, bounds, jobs=1, journal=j, check_bounds=False
+                )
+            assert j.appended == 0
+        with pytest.raises(InfeasibleError):
+            solve_sweep_sharded(topo, bounds, jobs=1, check_bounds=False)
 
 
 KILL_MANY_SCRIPT = textwrap.dedent(
@@ -259,6 +304,60 @@ class TestKillResumeSolveGranularity:
             sa, sb = a.unwrap(), b.unwrap()
             assert sa.cost == sb.cost
             assert list(sa.edge_lengths) == list(sb.edge_lengths)
+
+
+KILL_SWEEP_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    sys.path.insert(0, {src!r})
+    sys.path.insert(0, {tests!r})
+    from test_journal import tasks_for, EIGHT_WINDOWS
+    from repro.perf import SolveJournal, solve_sweep_sharded
+
+    # Die the hard way right after the N-th append — the last point of
+    # whichever jobs=2 shard finished first.
+    N = int(sys.argv[2])
+    tasks = tasks_for(size=10, windows=EIGHT_WINDOWS)
+    with SolveJournal(sys.argv[1]) as j:
+        original = j.append
+        def append_then_maybe_die(key, result):
+            original(key, result)
+            if j.appended >= N:
+                import os, signal
+                os.kill(os.getpid(), signal.SIGKILL)
+        j.append = append_then_maybe_die
+        solve_sweep_sharded(tasks[0].topo, [t.bounds for t in tasks],
+                            jobs=2, journal=j)
+    """
+)
+
+
+class TestKillResumeSweepShardGranularity:
+    """SIGKILL a jobs=2 journaled sweep right after its first shard's
+    appends: the resume replays exactly that shard and solves the rest."""
+
+    def test_resume_replays_exactly_the_finished_shard(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tests = str(Path(__file__).resolve().parent)
+        path = tmp_path / "kill_sweep.jsonl"
+        script = KILL_SWEEP_SCRIPT.format(src=src, tests=tests)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path), "4"],
+            capture_output=True,
+            timeout=600,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        assert len(SolveJournal(path).load()) == 4
+
+        tasks = tasks_for(size=10, windows=EIGHT_WINDOWS)
+        topo, bounds = tasks[0].topo, [t.bounds for t in tasks]
+        with SolveJournal(path) as j:
+            resumed = solve_sweep_sharded(topo, bounds, jobs=2, journal=j)
+            assert j.replayed == 4 and j.appended == 4
+        cold = solve_sweep_sharded(topo, bounds)
+        assert [canonical_cost(s.cost) for s in resumed] == [
+            canonical_cost(s.cost) for s in cold
+        ]
 
 
 KILL_SCRIPT = textwrap.dedent(

@@ -1,6 +1,9 @@
-"""The process-pool batch runner: ordering, equivalence, and hard kills."""
+"""The batch executor and its resident pool: ordering, equivalence,
+hard kills, and seat accounting."""
 
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -113,6 +116,28 @@ class TestRunMany:
         with pytest.raises(ValueError, match="bad input"):
             map_many(_fail, [(1,)], jobs=1)
 
+    def test_map_many_parallel_raises_task_error(self):
+        with pytest.raises(TaskError, match="bad input"):
+            map_many(_fail, [(1,), (2,)], jobs=2)
+
+    def test_on_result_fires_once_per_task_on_both_paths(self):
+        for jobs in (1, 2):
+            seen = []
+            outs = run_many(
+                _square, [(i,) for i in range(7)], jobs=jobs,
+                on_result=lambda o: seen.append((o.index, o.value)),
+            )
+            assert sorted(seen) == [(o.index, o.value) for o in outs]
+
+    def test_given_pool_is_used_and_left_open(self):
+        with WorkerPool(jobs=2) as pool:
+            pids = {p.pid for p in pool.worker_processes()}
+            outs = run_many(_pid, [(i,) for i in range(6)], pool=pool)
+            assert {o.unwrap() for o in outs} <= pids
+            # Still serving: run_many does not close a caller's pool.
+            assert pool.submit(_square, (3,)).unwrap() == 9
+            assert pool.stats()["tasks_run"] == 7
+
 
 class TestSolveMany:
     @pytest.fixture(scope="class")
@@ -159,12 +184,6 @@ class TestWorkerPool:
         assert pool.tasks_run == 5
         assert pool.workers_replaced == 0
 
-    def test_ordered_run_many(self):
-        with WorkerPool(jobs=3) as pool:
-            outs = pool.run_many(_square, [(i,) for i in range(9)])
-        assert [o.unwrap() for o in outs] == [i * i for i in range(9)]
-        assert [o.index for o in outs] == list(range(9))
-
     def test_crash_replaces_worker(self):
         with WorkerPool(jobs=1) as pool:
             before = pool.submit(_pid).unwrap()
@@ -203,6 +222,11 @@ class TestWorkerPool:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             WorkerPool(jobs=0)
+
+
+def _pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def _sleep_if_three(x):
@@ -267,6 +291,27 @@ class TestSubmitChunk:
             )
         assert seen == [0, 1, 2, 3]  # one worker runs items in order
 
+    def test_raising_callback_does_not_leak_the_seat(self):
+        def boom(_outcome):
+            raise OSError("journal disk full")
+
+        pool = WorkerPool(jobs=1)
+        try:
+            before = pool.worker_processes()
+            with pytest.raises(OSError, match="disk full"):
+                pool.submit_chunk(
+                    _square, [(1,), (2,), (3,)], on_item=boom
+                )
+            # The worker with unread replies was retired and its seat
+            # refilled, so the next task gets a clean worker.
+            assert pool.submit(_square, (4,)).unwrap() == 16
+            procs = before + pool.worker_processes()
+        finally:
+            pool.close()
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+
     def test_mid_chunk_crash_marks_offender_only(self):
         res_args = [(0,), (1,), (2,)]  # _crash_or_square dies on 1
         with WorkerPool(jobs=1) as pool:
@@ -279,24 +324,52 @@ class TestSubmitChunk:
         assert pool.workers_replaced == 1
 
 
-class TestImapUnordered:
-    def test_yields_every_result_with_original_index(self):
-        with WorkerPool(jobs=2) as pool:
-            got = sorted(
-                (o.index, o.unwrap())
-                for o in pool.imap_unordered(_square, [(i,) for i in range(8)])
-            )
-        assert got == [(i, i * i) for i in range(8)]
+class TestSeatsUnderContention:
+    def test_raising_callbacks_lose_no_seat(self):
+        """Eight threads share four workers with callbacks that raise on
+        every chunk: each raise must retire exactly one worker and hand
+        its seat back, however the threads interleave."""
 
-    def test_fast_tasks_stream_past_slow_ones(self):
-        order = []
-        with WorkerPool(jobs=2) as pool:
-            for o in pool.imap_unordered(
-                time.sleep, [(0.5,), (0.01,), (0.01,)]
-            ):
-                order.append(o.index)
-        # The 0.5s sleeper lands last despite being submitted first.
-        assert order[-1] == 0
+        def boom_on_odd(outcome):
+            if outcome.value % 2:
+                raise OSError("callback failed")
+
+        raised = []
+
+        def client(k):
+            for r in range(5):
+                try:
+                    # One of two consecutive squares is odd: every
+                    # chunk raises, at its first or its second item.
+                    pool.submit_chunk(
+                        _square, [(k + r,), (k + r + 1,)], on_item=boom_on_odd
+                    )
+                except OSError:
+                    raised.append(k)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(jobs=4) as pool:
+                threads = [
+                    threading.Thread(target=client, args=(k,))
+                    for k in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                assert len(raised) == 40
+                assert pool.stats()["workers_replaced"] == 40
+                # All four seats are back: four concurrent tasks land on
+                # four distinct live workers.
+                outs = run_many(_pid_after, [(0.3,)] * 4, pool=pool)
+                live = {p.pid for p in pool.worker_processes()}
+                assert {o.unwrap() for o in outs} == live
+                assert len(live) == 4
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestPoolStats:
@@ -354,6 +427,18 @@ class TestBatchScheduler:
         assert [o.unwrap() for o in outs if o.ok] == [0, 10, 20, 40, 50]
         assert stats["resubmitted"] >= 1
 
+    def test_raising_callback_leaves_the_pool_usable(self):
+        def boom(_outcome):
+            raise OSError("journal disk full")
+
+        with WorkerPool(jobs=2) as pool:
+            with pytest.raises(OSError, match="disk full"):
+                BatchScheduler(pool).run(
+                    _square, [(i,) for i in range(10)], on_result=boom
+                )
+            outs = BatchScheduler(pool).run(_square, [(i,) for i in range(10)])
+        assert [o.unwrap() for o in outs] == [i * i for i in range(10)]
+
     def test_completion_callback_sees_every_task_once(self):
         seen = []
         with WorkerPool(jobs=2) as pool:
@@ -379,9 +464,8 @@ class TestExperimentJobs:
         reason="spawn round-trip is slow; covered by fork elsewhere",
     )
     def test_spawn_start_method(self, tmp_path):
-        outs = run_many(
-            _square, [(i,) for i in range(3)], jobs=2, start_method="spawn"
-        )
+        with WorkerPool(2, start_method="spawn") as pool:
+            outs = run_many(_square, [(i,) for i in range(3)], pool=pool)
         assert [o.unwrap() for o in outs] == [0, 1, 4]
 
 

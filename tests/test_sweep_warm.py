@@ -193,7 +193,7 @@ class TestSharding:
             topo, bounds_list, jobs=1, check_bounds=False
         )
         chunked = solve_sweep_sharded(
-            topo, bounds_list, jobs=1, chunks=3, check_bounds=False
+            topo, bounds_list, jobs=3, check_bounds=False
         )
         want = [canonical_cost(s.cost) for s in serial]
         assert [canonical_cost(s.cost) for s in inline] == want
