@@ -29,7 +29,8 @@ def test_reduction_equivalence(instance, benchmark):
     lazy = benchmark.pedantic(
         solve_lubt,
         args=(topo, bounds),
-        kwargs={"mode": "lazy", "check_bounds": False},
+        # The lazy loop on scipy ("auto" is the direct tree path here).
+        kwargs={"mode": "lazy", "backend": "scipy", "check_bounds": False},
         rounds=1,
         iterations=1,
     )
@@ -56,7 +57,9 @@ def test_reduction_equivalence(instance, benchmark):
 
 def test_lazy_timing(instance, benchmark):
     _, topo, bounds = instance
-    benchmark(solve_lubt, topo, bounds, mode="lazy", check_bounds=False)
+    benchmark(
+        solve_lubt, topo, bounds, mode="lazy", backend="scipy", check_bounds=False
+    )
 
 
 def test_full_timing(instance, benchmark):

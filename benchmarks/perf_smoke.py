@@ -1,10 +1,11 @@
 """CI perf smoke: catch gross solve-time regressions and pool breakage.
 
-Runs the ``bench_scaling`` protocol (prim2 prefixes, lazy mode, window
-[0.8, 1.2] x radius) at small sizes, compares fresh wall times against
-the committed ``BENCH_scaling.json``, and fails if any size regressed by
-more than ``--factor`` (default 2x — loose enough for CI-runner noise,
-tight enough to catch an accidental return to per-pair row assembly).
+Runs the ``bench_scaling`` protocol (prim2 prefixes, default
+``solve_lubt`` options, window [0.8, 1.2] x radius) at small sizes,
+compares fresh best-of-3 wall times against the committed
+``BENCH_scaling.json``, and fails if any size regressed by more than
+``--factor`` (default 2x — loose enough for CI-runner noise, tight
+enough to catch the default path falling back to the lazy loop).
 Also proves the batch executor end to end: ``solve_many`` with workers
 must reproduce the serial costs bit for bit, and a deliberately hung
 task sent through ``run_many`` (one resident worker, 1 s timeout) must
@@ -13,7 +14,8 @@ out.
 
 Two sweep-engine gates ride along (see docs/PERFORMANCE.md):
 
-* **warm vs cold** — a 16-point fig8-style bound sweep at 64 sinks must
+* **warm vs cold** — a 16-point fig8-style bound sweep at 64 sinks on
+  the lazy loop (``backend="scipy"``: warm rows only feed the loop) must
   run at least ``--sweep-factor`` (default 2x) faster warm-started than
   cold, with bit-identical canonical per-point costs; fresh timings are
   written to ``BENCH_sweep.json`` at the repo root.
@@ -23,10 +25,11 @@ Two sweep-engine gates ride along (see docs/PERFORMANCE.md):
   up in the attempt log).
 
 A tree-backend gate rides along as well: at ``--tree-sinks`` (default
-1024) the structure-aware ``backend="tree"`` solve must beat the best
-generic backend by ``--tree-factor`` (default 2x — deliberately far
-below the >= 10x recorded in ``BENCH_scaling.json``'s ``tree_tier``, to
-absorb CI-runner noise) with canonically identical cost.
+1024) the structure-aware ``backend="tree"`` solve must beat the lazy
+loop on HiGHS (``backend="scipy"``, the best generic backend at that
+size) by ``--tree-factor`` (default 2x — deliberately far below the
+>= 10x recorded in ``BENCH_scaling.json``'s ``tree_tier``, to absorb
+CI-runner noise) with canonically identical cost.
 
 No pytest / pytest-benchmark needed — plain stdlib + repro, so the CI
 job installs numpy and scipy only:
@@ -158,7 +161,8 @@ def check_sweep(
         for _ in range(repeats):
             t0 = time.perf_counter()
             sols = solve_sweep(
-                topo, bounds_list, warm=warm, check_bounds=False
+                topo, bounds_list, warm=warm, check_bounds=False,
+                backend="scipy",
             )
             best = min(best, time.perf_counter() - t0)
         return best, sols
@@ -194,7 +198,7 @@ def check_sweep(
             "protocol": (
                 f"prim1[{SWEEP_SINKS}], fig8-style grid "
                 f"widths={list(SWEEP_WIDTHS)} x lowers={list(SWEEP_LOWERS)}, "
-                f"lazy mode, best of {repeats}"
+                f"lazy mode on scipy, best of {repeats}"
             ),
             "points": len(bounds_list),
             "sinks": SWEEP_SINKS,
@@ -265,7 +269,7 @@ def check_race() -> list[str]:
 
 def check_tree(sinks: int, factor: float) -> list[str]:
     """Tree-backend gate: at ``sinks`` the structure-aware solve must
-    beat the best generic backend by ``factor`` with a canonically
+    beat the lazy loop on HiGHS by ``factor`` with a canonically
     identical cost."""
     from repro.data import synth_instance
 
@@ -278,7 +282,7 @@ def check_tree(sinks: int, factor: float) -> list[str]:
         return sol, time.perf_counter() - t0
 
     tree_sol, tree_seconds = _timed("tree")
-    gen_sol, gen_seconds = _timed("auto")
+    gen_sol, gen_seconds = _timed("scipy")
     speedup = gen_seconds / tree_seconds if tree_seconds > 0 else float("inf")
     if canonical_cost(tree_sol.cost) != canonical_cost(gen_sol.cost):
         failures.append(
@@ -294,7 +298,7 @@ def check_tree(sinks: int, factor: float) -> list[str]:
     print(
         f"tree backend ({sinks} sinks): tree {tree_seconds:.3f}s vs "
         f"{gen_sol.stats.backend} {gen_seconds:.3f}s = {speedup:.1f}x, "
-        f"{tree_sol.stats.dual_iterations} dual iterations, costs "
+        f"{tree_sol.stats.lp_iterations} LP iterations, costs "
         + ("match" if not failures else "DIFFER/SLOW")
     )
     return failures

@@ -167,13 +167,10 @@ def _cmd_solve(args) -> int:
     t.add_row("longest delay", sol.longest_delay / radius)
     t.add_row("skew", sol.skew / radius)
     t.add_row("LP rounds", sol.stats.rounds)
+    t.add_row("LP iterations", sol.stats.lp_iterations)
     t.add_row("Steiner rows used", sol.stats.steiner_rows)
     t.add_row("of possible", sol.stats.total_pairs)
     t.add_row("backend", sol.stats.backend)
-    if sol.stats.restricted_master_rounds:
-        t.add_row("dual iterations", sol.stats.dual_iterations)
-        t.add_row("DP passes", sol.stats.dp_passes)
-        t.add_row("master rounds", sol.stats.restricted_master_rounds)
     t.add_row("LP seconds", f"{sol.stats.lp_seconds:.4f}")
     t.add_row("embed seconds", f"{sol.stats.embed_seconds:.4f}")
     if args.resilient or args.race:
@@ -666,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "simplex", "scipy", "tree"),
         default="auto",
         help="LP backend: 'tree' uses the structure-aware collapsed "
-        "solve (fastest at 1k+ sinks); 'auto' picks a generic backend "
-        "by size",
+        "solve; 'auto' takes it from 8 sinks up and picks a generic "
+        "backend by size below that",
     )
     p.add_argument(
         "--resilient",

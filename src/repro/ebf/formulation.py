@@ -50,6 +50,32 @@ def build_ebf_lp(
     weighted objective; ``pairs`` restricts the Steiner rows to a subset
     (used by lazy row generation); ``zero_edges`` pins tie edges to zero.
     """
+    lp = build_tree_lp(topo, bounds, weights=weights, zero_edges=zero_edges)
+    meta = lp.tree_meta
+    add_delay_rows(lp, topo, meta.lower, meta.upper)
+    add_steiner_rows(lp, topo, pairs)
+    meta.covered_rows = lp.num_constraints
+    return lp
+
+
+def build_tree_lp(
+    topo: Topology,
+    bounds: DelayBounds,
+    *,
+    weights: Sequence[float] | None = None,
+    zero_edges: Iterable[int] = (),
+) -> LinearProgram:
+    """The EBF model as ``backend="tree"`` reads it: one cost-weighted
+    variable per edge (``zero_edges`` pinned to zero) and the
+    :class:`~repro.lp.TreeLpMeta` stamp, with no rows.
+
+    :func:`repro.lp.treesolve.solve_tree` rebuilds the delay windows and
+    the whole Steiner family from the stamp, so it returns the same
+    answer on this model as on :func:`build_ebf_lp`'s — which adds the
+    rows to it — for any ``pairs``, without the rows it would ignore.
+    """
+    from repro.lp import TreeLpMeta
+
     if bounds.num_sinks != topo.num_sinks:
         raise ValueError("bounds/sink count mismatch")
     if weights is not None and len(weights) != topo.num_nodes:
@@ -65,23 +91,36 @@ def build_ebf_lp(
     for i in zero_edges:
         lp.fix_variable(edge_var(i), 0.0)
 
-    windows = add_delay_rows(lp, topo, bounds)
-    add_steiner_rows(lp, topo, pairs)
-    _stamp_tree_meta(lp, topo, windows, zero_edges, weights)
+    # The tree facts the flat rows no longer expose, enabling the
+    # structure-aware backend="tree" (see repro.lp.treesolve).
+    parents = np.zeros(topo.num_nodes, dtype=np.int64)
+    for v in range(1, topo.num_nodes):
+        parents[v] = topo.parent(v)
+    su, sv = topo.sink_uv()
+    lower, upper = sink_windows(topo, bounds)
+    lp.tree_meta = TreeLpMeta(
+        parents=parents,
+        num_sinks=topo.num_sinks,
+        su=su,
+        sv=sv,
+        lower=lower,
+        upper=upper,
+        zero_edges=zero_edges,
+        weights=None if weights is None else np.asarray(weights, dtype=float),
+        covered_rows=0,
+    )
     return lp
 
 
-def add_delay_rows(
-    lp: LinearProgram, topo: Topology, bounds: DelayBounds
+def sink_windows(
+    topo: Topology, bounds: DelayBounds
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One range row per sink (Equation 8), with the fixed-source
-    strengthening described in the module docstring.
+    """Effective ``(lower, upper)`` delay windows indexed by node id.
 
-    Returns the effective ``(lower, upper)`` window arrays indexed by
-    node id (sink entries meaningful, strengthening applied, inverted
-    windows stored raw) — the exact windows the rows encode, which the
-    tree backend's metadata reuses so the two formulations can never
-    drift.
+    Sink entries carry the fixed-source strengthening described in the
+    module docstring; inverted windows are returned raw.  Both the delay
+    rows and the tree stamp read their windows from here, so the two
+    formulations can never drift.
     """
     src = topo.source_location
     lower = np.zeros(topo.num_nodes)
@@ -91,6 +130,19 @@ def add_delay_rows(
         if src is not None:
             lo = max(lo, manhattan(src, topo.sink_location(i)))
         lower[i], upper[i] = lo, hi
+    return lower, upper
+
+
+def add_delay_rows(
+    lp: LinearProgram,
+    topo: Topology,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> None:
+    """One range row per sink (Equation 8) over the :func:`sink_windows`
+    arrays ``lower`` / ``upper``."""
+    for i in topo.sink_ids():
+        lo, hi = float(lower[i]), float(upper[i])
         if lo > hi + 1e-12:
             # Bounds violating Eq. 3 produce an immediately-infeasible row
             # rather than a silent wrong answer.
@@ -98,7 +150,6 @@ def add_delay_rows(
             continue
         coeffs = {edge_var(k): 1.0 for k in topo.path_to_root(i)}
         lp.add_range_constraint(coeffs, lo, hi, name=f"delay{i}")
-    return lower, upper
 
 
 def add_steiner_rows(
@@ -130,35 +181,6 @@ def add_steiner_rows(
     if lp.tree_meta is not None:
         lp.tree_meta.covered_rows = lp.num_constraints
     return rows
-
-
-def _stamp_tree_meta(
-    lp: LinearProgram,
-    topo: Topology,
-    windows: tuple[np.ndarray, np.ndarray],
-    zero_edges: tuple[int, ...],
-    weights: Sequence[float] | None,
-) -> None:
-    """Record the tree facts the flat rows no longer expose, enabling the
-    structure-aware ``backend="tree"`` (see :mod:`repro.lp.treesolve`)."""
-    from repro.lp import TreeLpMeta
-
-    parents = np.zeros(topo.num_nodes, dtype=np.int64)
-    for v in range(1, topo.num_nodes):
-        parents[v] = topo.parent(v)
-    su, sv = topo.sink_uv()
-    lower, upper = windows
-    lp.tree_meta = TreeLpMeta(
-        parents=parents,
-        num_sinks=topo.num_sinks,
-        su=su,
-        sv=sv,
-        lower=lower,
-        upper=upper,
-        zero_edges=zero_edges,
-        weights=None if weights is None else np.asarray(weights, dtype=float),
-        covered_rows=lp.num_constraints,
-    )
 
 
 def expand_edge_vector(topo: Topology, x: np.ndarray) -> np.ndarray:

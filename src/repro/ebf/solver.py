@@ -7,6 +7,12 @@ pair per branching node, solve, add violated rows, repeat.  Both modes end
 with an exact all-pairs violation check, so a returned solution always
 satisfies *every* Steiner constraint; by LP optimality it is the minimum
 cost LUBT for the topology (Theorem 4.2).
+
+A lazy solve on the tree backend skips the loop: the collapsed
+node-potential LP (:mod:`repro.lp.treesolve`) holds every Steiner row, so
+one solve on a row-less stamped model is the whole LUBT.  ``"auto"``
+takes that path from :data:`TREE_MIN_SINKS` sinks up unless a warm store
+asks for the loop's carried rows (see :func:`direct_tree_path`).
 """
 
 from __future__ import annotations
@@ -26,12 +32,43 @@ from repro.ebf.constraints import (
 from repro.ebf.formulation import (
     add_steiner_rows,
     build_ebf_lp,
+    build_tree_lp,
     expand_edge_vector,
 )
 from repro.lp import InfeasibleError, solve_lp
 from repro.lp.solve import preferred_backend
 
 _VIOLATION_TOL = 1e-6
+
+#: Sink count from which a lazy, non-resilient ``backend="auto"`` solve
+#: without a warm store takes the direct tree path instead of the lazy
+#: loop on the dense simplex / HiGHS.  Measured, not tuned per call: the two paths tie at
+#: 8 sinks on a 2-core host (``auto_crossover`` in BENCH_scaling.json,
+#: written by ``benchmarks/bench_scaling.py``).
+TREE_MIN_SINKS = 8
+
+
+def direct_tree_path(
+    num_sinks: int,
+    *,
+    backend: str = "auto",
+    mode: str = "lazy",
+    resilient: bool = False,
+    warm=None,
+) -> bool:
+    """Whether :func:`solve_lubt` answers with one tree LP instead of the
+    lazy loop.
+
+    True for a lazy, non-resilient solve on ``"tree"``, and on ``"auto"``
+    from :data:`TREE_MIN_SINKS` sinks up when no ``warm`` store is
+    given: a warm store asks for the Steiner rows only the loop finds
+    and reuses, so it keeps ``"auto"`` on the loop.
+    """
+    if mode != "lazy" or resilient:
+        return False
+    if backend == "tree":
+        return True
+    return backend == "auto" and warm is None and num_sinks >= TREE_MIN_SINKS
 
 
 @dataclass(frozen=True)
@@ -56,14 +93,6 @@ class SolveStats:
     #: Wall-clock of the embedding stage.  The solver itself never embeds;
     #: :func:`repro.embedding.solve_and_embed` stamps this in afterwards.
     embed_seconds: float = 0.0
-    #: Tree-backend provenance (zero when no LP was solved by
-    #: ``backend="tree"``): simplex iterations of the collapsed
-    #: node-potential master, O(n) tree walks performed, and master LP
-    #: solves, summed over every LP of the solve (see
-    #: :mod:`repro.lp.treesolve`).
-    dual_iterations: int = 0
-    dp_passes: int = 0
-    restricted_master_rounds: int = 0
 
     @property
     def assembly_seconds(self) -> float:
@@ -146,13 +175,18 @@ def solve_lubt(
     Parameters
     ----------
     backend:
-        ``"auto"`` (size-based simplex/scipy choice, default),
-        ``"simplex"``, ``"scipy"``, or ``"tree"`` — the structure-aware
-        node-potential solver (:mod:`repro.lp.treesolve`) that solves
-        the *entire* Steiner family in one collapsed O(n)-row LP, so the
-        lazy loop converges in a single round; its
-        ``dual_iterations``/``dp_passes``/``restricted_master_rounds``
-        provenance lands in :class:`SolveStats`.
+        ``"auto"`` (default), ``"simplex"``, ``"scipy"``, or ``"tree"``
+        — the structure-aware node-potential solver
+        (:mod:`repro.lp.treesolve`) that solves the *entire* Steiner
+        family in one collapsed O(n)-row LP.  A lazy, non-resilient
+        solve on ``"tree"`` takes the direct path: one tree LP on a
+        row-less stamped model, no seed rows, no loop, no warm rows
+        (``rounds == 1``, ``steiner_rows == 0``), the exact
+        post-validation kept.  ``"auto"`` means ``"tree"`` there from
+        :data:`TREE_MIN_SINKS` sinks up when ``warm`` is ``None``;
+        otherwise — below the constant, with a warm store, in full or
+        resilient mode — it is a size-based simplex/scipy choice
+        (:func:`direct_tree_path`).
     mode:
         ``"lazy"`` (Section 4.6 row generation, default) or ``"full"``
         (all C(m,2) Steiner rows up front).
@@ -194,8 +228,10 @@ def solve_lubt(
         back, so the object learns across a sweep.  Sound regardless of
         bounds: Steiner rows depend only on the topology, never on the
         delay bounds, so a carried row is always a valid (if possibly
-        slack) constraint.  Ignored in full mode (all rows are present
-        anyway).
+        slack) constraint.  Passing one keeps ``backend="auto"`` on the
+        lazy loop at any size.  Ignored in full mode (all rows are
+        present anyway) and on ``backend="tree"`` (its direct path has
+        no rows to seed).
     race:
         ``"auto"`` races the backend cascade concurrently on every LP —
         first definitive answer wins, losers are cancelled and recorded
@@ -265,17 +301,6 @@ def solve_lubt(
 
     reports: list = []
     round_lp_seconds: list[float] = []
-    tree_prov = {
-        "dual_iterations": 0,
-        "dp_passes": 0,
-        "restricted_master_rounds": 0,
-    }
-
-    def _absorb_provenance(result) -> None:
-        p = getattr(result, "provenance", None)
-        if p:
-            for key in tree_prov:
-                tree_prov[key] += int(p.get(key, 0))
 
     def _solve(lp, resolved):
         t0 = time.perf_counter()
@@ -293,19 +318,30 @@ def solve_lubt(
         finally:
             round_lp_seconds.append(time.perf_counter() - t0)
 
+    direct_tree = direct_tree_path(
+        topo.num_sinks, backend=backend, mode=mode, resilient=resilient,
+        warm=warm,
+    )
     start = time.perf_counter()
     warm_rows = 0
     try:
-        if mode == "full":
-            pairs = list(all_sink_pairs(topo))
-            lp = build_ebf_lp(
-                topo, bounds, weights=weights, pairs=pairs,
-                zero_edges=zero_edges,
-            )
+        if direct_tree or mode == "full":
+            if direct_tree:
+                # The tree LP implies every Steiner row: state none.
+                pairs = []
+                lp = build_tree_lp(
+                    topo, bounds, weights=weights, zero_edges=zero_edges
+                )
+            else:
+                pairs = list(all_sink_pairs(topo))
+                lp = build_ebf_lp(
+                    topo, bounds, weights=weights, pairs=pairs,
+                    zero_edges=zero_edges,
+                )
             if validate == "strict":
                 _check_built_lp(lp)
-            result = _solve(lp, backend).require_optimal()
-            _absorb_provenance(result)
+            result = _solve(lp, "tree" if direct_tree else backend)
+            result = result.require_optimal()
             e = expand_edge_vector(topo, result.x)
             rounds, iters = 1, result.iterations
         else:
@@ -348,7 +384,6 @@ def solve_lubt(
             discovered: list[tuple[int, int, int]] = []
             for rounds in range(1, max_rounds + 1):
                 result = _solve(lp, resolved).require_optimal()
-                _absorb_provenance(result)
                 iters += result.iterations
                 e = expand_edge_vector(topo, result.x)
                 violated = steiner_violations(
@@ -412,9 +447,6 @@ def solve_lubt(
         lp_seconds=sum(round_lp_seconds),
         round_lp_seconds=tuple(round_lp_seconds),
         warm_rows=warm_rows,
-        dual_iterations=tree_prov["dual_iterations"],
-        dp_passes=tree_prov["dp_passes"],
-        restricted_master_rounds=tree_prov["restricted_master_rounds"],
     )
     return LubtSolution(
         topo,

@@ -39,19 +39,19 @@ plane loop — at 1024 sinks that is ~28x faster than the generic path
 The backend consumes a :class:`~repro.lp.LinearProgram` like any other,
 but needs the tree facts the flat rows no longer expose.
 :func:`repro.ebf.build_ebf_lp` stamps them on the model as a
-:class:`TreeLpMeta`; any LP without the stamp — or with rows appended
-outside the tree-aware builders (watermarked by ``covered_rows``) — is
-declined with :class:`BackendCapabilityError`, which the ``"auto"``
-dispatch, the resilient cascade, and the race path all treat as a clean
-fall-through to a generic backend.  Elastic infeasibility-diagnosis LPs
-carry no stamp, so infeasible instances route through
-``diagnose_infeasibility`` exactly as before.
+:class:`TreeLpMeta` (and :func:`repro.ebf.formulation.build_tree_lp`
+builds the row-less stamped model ``solve_lubt``'s direct path solves);
+any LP without the stamp — or with rows appended outside the tree-aware
+builders (watermarked by ``covered_rows``) — is declined with
+:class:`BackendCapabilityError`, which the resilient cascade and the
+race path treat as a clean fall-through to a generic backend.  Elastic
+infeasibility-diagnosis LPs carry no stamp, so infeasible instances
+route through ``diagnose_infeasibility`` exactly as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -76,7 +76,8 @@ _STATUS_MAP = {
 
 @dataclass
 class TreeLpMeta:
-    """Tree facts of an EBF model, stamped by ``build_ebf_lp``.
+    """Tree facts of an EBF model, stamped by ``build_ebf_lp`` and
+    ``build_tree_lp``.
 
     All fields are plain arrays indexed by node id (entry 0 is the root;
     sinks are ids ``1..num_sinks``), so the solver needs no topology
@@ -103,38 +104,8 @@ class TreeLpMeta:
     covered_rows: int = 0
 
 
-def _provenance(
-    dual_iterations: int, dp_passes: int, rounds: int
-) -> Mapping[str, int]:
-    """Tree-backend provenance counters.
-
-    ``dual_iterations``
-        simplex iterations HiGHS (dual simplex) spent on the collapsed
-        node-potential master.
-    ``dp_passes``
-        O(n) walks over the topology: BFS ordering, bottom-up sink
-        accounting, row assembly, and edge-length recovery.
-    ``restricted_master_rounds``
-        master LP solves — 1 per call here; the lazy loop in
-        ``solve_lubt`` sums across rounds.
-    """
-    return {
-        "dual_iterations": dual_iterations,
-        "dp_passes": dp_passes,
-        "restricted_master_rounds": rounds,
-    }
-
-
-def _infeasible(message: str, dp_passes: int) -> LpResult:
-    return LpResult(
-        LpStatus.INFEASIBLE,
-        None,
-        None,
-        0,
-        "tree",
-        message=message,
-        provenance=_provenance(0, dp_passes, 0),
-    )
+def _infeasible(message: str) -> LpResult:
+    return LpResult(LpStatus.INFEASIBLE, None, None, 0, "tree", message=message)
 
 
 def _bfs_order(parents: np.ndarray) -> np.ndarray:
@@ -167,10 +138,11 @@ def solve_tree(lp: LinearProgram) -> LpResult:
 
     Raises :class:`BackendCapabilityError` for models without (current)
     tree metadata; returns an :class:`LpResult` in the *original* edge
-    variable space, with :attr:`LpResult.provenance` carrying the tree
-    counters (``dual_iterations`` / ``dp_passes`` /
-    ``restricted_master_rounds``).  Row duals are not produced (the
-    collapsed model's rows do not map 1:1 onto the flat model's).
+    variable space, with the HiGHS iteration count of the collapsed LP.
+    Only the stamp and the variable box are read, so a row-less
+    :func:`repro.ebf.formulation.build_tree_lp` model gives the same
+    answer as a full one.  Row duals are not produced (the collapsed
+    model's rows do not map 1:1 onto the flat model's).
     """
     meta = lp.tree_meta
     if meta is None:
@@ -192,8 +164,6 @@ def solve_tree(lp: LinearProgram) -> LpResult:
             "model variable count does not match the tree's edge count"
         )
 
-    dp_passes = 0
-
     # ---- effective sink delay windows (mirror of add_delay_rows) ------
     lo = np.asarray(meta.lower, dtype=np.float64)[1 : m + 1].copy()
     hi = np.asarray(meta.upper, dtype=np.float64)[1 : m + 1].copy()
@@ -202,8 +172,7 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         k = int(np.argmax(impossible)) + 1
         return _infeasible(
             f"delay window for sink {k} is empty "
-            f"([{lo[k - 1]:g}, {hi[k - 1]:g}])",
-            dp_passes,
+            f"([{lo[k - 1]:g}, {hi[k - 1]:g}])"
         )
     noisy = lo > hi
     if bool(np.any(noisy)):
@@ -232,19 +201,16 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         j = int(np.argmax(lb > ub)) + 1
         return _infeasible(
             f"node {j}: pinned/strengthened bounds force an empty delay "
-            f"window [{lb[j - 1]:g}, {ub[j - 1]:g}]",
-            dp_passes,
+            f"window [{lb[j - 1]:g}, {ub[j - 1]:g}]"
         )
 
     # ---- tree walks: order, sink accounting ---------------------------
     order = _bfs_order(parents)
-    dp_passes += 1
     nsink = np.zeros(n, dtype=np.int64)
     nsink[1 : m + 1] = 1
     for idx in range(n - 1, 0, -1):
         v = int(order[idx])
         nsink[parents[v]] += nsink[v]
-    dp_passes += 1
     has = nsink > 0
 
     # ---- auxiliary min-chain variables --------------------------------
@@ -356,7 +322,6 @@ def solve_tree(lp: LinearProgram) -> LpResult:
             blk_v.append(np.full(4, -1.0))
             blk_b.append(np.zeros(2))
             nrows += 2
-    dp_passes += 1
 
     a_ub = None
     b_ub = None
@@ -389,13 +354,7 @@ def solve_tree(lp: LinearProgram) -> LpResult:
     status = _STATUS_MAP.get(int(res.status), LpStatus.ERROR)
     if status is not LpStatus.OPTIMAL or res.x is None:
         return LpResult(
-            status,
-            None,
-            None,
-            iterations,
-            "tree",
-            message=message,
-            provenance=_provenance(iterations, dp_passes, 1),
+            status, None, None, iterations, "tree", message=message
         )
 
     # ---- recover edge lengths in the flat model's variable space ------
@@ -404,7 +363,6 @@ def solve_tree(lp: LinearProgram) -> LpResult:
     e[0] = 0.0
     np.maximum(e, 0.0, out=e)
     x = np.minimum(np.maximum(e[1:], lp.lower_bounds), lp.upper_bounds)
-    dp_passes += 1
     return LpResult(
         LpStatus.OPTIMAL,
         x,
@@ -413,5 +371,4 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         "tree",
         duals=None,
         message=message,
-        provenance=_provenance(iterations, dp_passes, 1),
     )

@@ -129,12 +129,6 @@ class SolveReport:
             lines.append(
                 f"=> {self.result.status.value} via {self.result.backend}"
             )
-            prov = getattr(self.result, "provenance", None)
-            if prov:
-                lines.append(
-                    "   "
-                    + ", ".join(f"{k}={prov[k]}" for k in sorted(prov))
-                )
         if self.warm_rows:
             lines.append(f"   warm-seeded {self.warm_rows} Steiner rows")
         if self.instance_key:

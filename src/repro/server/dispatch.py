@@ -139,11 +139,20 @@ def _solve_job(
     The registry's post-solve snapshot rides back on the payload under
     ``"breakers"`` (popped by the server before caching).
     """
-    from repro.ebf.solver import solve_lubt
+    from repro.ebf.solver import direct_tree_path, solve_lubt
 
     if breakers == "process":
         breakers = default_registry()
-    ws = WarmStart.seeded(topo_key, carried_pairs)
+    # Warm rows only feed the lazy loop, and a store would keep "auto"
+    # on it: a solve bound for the direct tree path gets none.
+    direct = direct_tree_path(
+        topo.num_sinks,
+        backend=options.get("backend", "auto"),
+        mode=options.get("mode", "lazy"),
+        resilient=bool(options.get("resilient"))
+        or options.get("race") == "auto",
+    )
+    ws = None if direct else WarmStart.seeded(topo_key, carried_pairs)
     sol = solve_lubt(
         topo, bounds, warm=ws, breakers=breakers, solvers=solvers,
         **options,
@@ -180,7 +189,7 @@ def _solve_job(
     }
     if breakers is not None:
         payload["breakers"] = breakers.snapshot()
-    return payload, list(ws.pairs)
+    return payload, [] if ws is None else list(ws.pairs)
 
 
 class SolveServer:

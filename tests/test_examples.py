@@ -11,9 +11,17 @@ EXAMPLES = sorted(
 )
 
 
+#: Examples that write a file take its path as their first argument; the
+#: test points it at a temporary directory so the committed copy stays put.
+WRITES = {"visualize_benchmark": "lubt_prim1.svg"}
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs(path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", [str(path)])
+def test_example_runs(path, capsys, monkeypatch, tmp_path):
+    argv = [str(path)]
+    if path.stem in WRITES:
+        argv.append(str(tmp_path / WRITES[path.stem]))
+    monkeypatch.setattr(sys, "argv", argv)
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{path.name} printed nothing"

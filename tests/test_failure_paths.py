@@ -58,6 +58,7 @@ class TestSolverMisuse:
                 topo,
                 DelayBounds.uniform(24, 0, 2 * r),
                 mode="lazy",
+                backend="scipy",
                 batch=1,
                 max_rounds=2,
             )

@@ -260,13 +260,18 @@ class TestSolveServer:
         assert canonical_cost(served["result"]["cost"]) == canonical_cost(
             sol.cost
         )
+        # Same path as in-process: no warm store keeps "auto" off tree.
+        assert served["result"]["stats"]["backend"] == sol.stats.backend
+        assert sol.stats.backend == "tree" and served["warm_rows"] == 0
 
     def test_cross_client_warm_reuse(self, server):
         topo, _, radius = instance(9, 0.8, 1.4)
         m = topo.num_sinks
+        # Warm rows come from the lazy loop only, so pin its backend.
         with ServerClient(port=server.port) as first_client:
             first_client.solve(
-                topo, DelayBounds.uniform(m, 0.8 * radius, 1.4 * radius)
+                topo, DelayBounds.uniform(m, 0.8 * radius, 1.4 * radius),
+                backend="scipy",
             )
         # a *different* connection sweeps *different* windows on the same
         # structure: its first solve must already be warm-seeded
@@ -277,6 +282,7 @@ class TestSolveServer:
                     DelayBounds.uniform(m, lo * radius, 1.5 * radius)
                     for lo in (0.55, 0.75)
                 ],
+                backend="scipy",
             )
         assert done["points"] == 2 and done["errors"] == 0
         assert points[0]["warm_rows"] > 0
@@ -351,10 +357,13 @@ class TestSolveServerPooled:
         m = topo.num_sinks
         with ServerThread(jobs=2) as handle:
             with ServerClient(port=handle.port) as c:
+                # Warm rows come from the lazy loop only: pin its backend.
                 c.solve(topo, DelayBounds.uniform(m, 0.8 * radius,
-                                                  1.4 * radius))
+                                                  1.4 * radius),
+                        backend="scipy")
                 reply = c.solve(topo, DelayBounds.uniform(m, 0.6 * radius,
-                                                          1.5 * radius))
+                                                          1.5 * radius),
+                                backend="scipy")
         assert reply["warm_rows"] > 0
 
 

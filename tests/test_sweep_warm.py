@@ -133,8 +133,9 @@ class TestWarmStart:
 class TestWarmSweep:
     def test_warm_equals_cold_canonically(self):
         topo, bounds_list = sweep_instance()
-        cold = solve_sweep(topo, bounds_list, warm=False, check_bounds=False)
-        warm = solve_sweep(topo, bounds_list, warm=True, check_bounds=False)
+        kw = dict(check_bounds=False, backend="scipy")  # the lazy loop
+        cold = solve_sweep(topo, bounds_list, warm=False, **kw)
+        warm = solve_sweep(topo, bounds_list, warm=True, **kw)
         assert [canonical_cost(s.cost) for s in warm] == [
             canonical_cost(s.cost) for s in cold
         ]
@@ -155,8 +156,9 @@ class TestWarmSweep:
             DelayBounds.uniform(m, lo * r, max(1.0, lo + 0.3) * r)
             for lo in (1.0, 0.6, 0.2)
         ]
-        cold = solve_sweep(topo, bounds_list, warm=False, check_bounds=False)
-        warm = solve_sweep(topo, bounds_list, warm=True, check_bounds=False)
+        kw = dict(check_bounds=False, backend="scipy")  # the lazy loop
+        cold = solve_sweep(topo, bounds_list, warm=False, **kw)
+        warm = solve_sweep(topo, bounds_list, warm=True, **kw)
         assert [canonical_cost(s.cost) for s in warm] == [
             canonical_cost(s.cost) for s in cold
         ]
@@ -164,10 +166,11 @@ class TestWarmSweep:
     def test_explicit_warmstart_accumulates(self):
         topo, bounds_list = sweep_instance()
         ws = WarmStart()
-        solve_sweep(topo, bounds_list[:3], warm=ws, check_bounds=False)
+        kw = dict(check_bounds=False, backend="scipy")  # the lazy loop
+        solve_sweep(topo, bounds_list[:3], warm=ws, **kw)
         assert ws.solves == 3
         carried = len(ws.pairs)
-        sols = solve_sweep(topo, bounds_list[3:], warm=ws, check_bounds=False)
+        sols = solve_sweep(topo, bounds_list[3:], warm=ws, **kw)
         assert ws.solves == 6
         assert sols[0].stats.warm_rows >= carried > 0
 

@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 from repro.check import check_instance
 from repro.data import load_benchmark, synth_instance
+from repro.delay import tree_cost
 from repro.ebf import DelayBounds, build_ebf_lp, solve_lubt
 from repro.ebf.bounds import radius_of
-from repro.ebf.sweep import canonical_cost
+from repro.ebf.constraints import seed_constraint_pairs
+from repro.ebf.formulation import expand_edge_vector
+from repro.ebf.solver import TREE_MIN_SINKS
+from repro.ebf.sweep import WarmStart, canonical_cost
 from repro.geometry import Point
 from repro.lp import (
     BackendCapabilityError,
@@ -121,7 +125,8 @@ class TestCanonicalParity:
 
 
 class TestExperimentSuiteParity:
-    """The actual table/figure drivers, `backend="tree"` vs the default.
+    """The actual table/figure runners, `backend="tree"` vs the lazy loop
+    on scipy.
 
     Every reported cost is canonical_cost-quantized inside the runners,
     so parity here means bit-identical table cells.
@@ -135,7 +140,7 @@ class TestExperimentSuiteParity:
         from repro.experiments.table1 import run_table1_row
 
         tree = run_table1_row(bench, 0.5, backend="tree")
-        ref = run_table1_row(bench, 0.5)
+        ref = run_table1_row(bench, 0.5, backend="scipy")
         # table1 reports raw costs (the other runners quantize), so the
         # degenerate-vertex ulp is absorbed here instead.
         assert canonical_cost(tree.lubt_cost) == canonical_cost(ref.lubt_cost)
@@ -145,7 +150,7 @@ class TestExperimentSuiteParity:
         from repro.experiments import run_table2
 
         tree = run_table2(bench, 0.5, backend="tree")
-        ref = run_table2(bench, 0.5)
+        ref = run_table2(bench, 0.5, backend="scipy")
         assert [r.cost for r in tree] == [r.cost for r in ref]
 
     def test_table3_combos(self, bench):
@@ -154,7 +159,7 @@ class TestExperimentSuiteParity:
 
         combos = PAPER_BOUND_COMBOS[:3]
         tree = run_table3(bench, combos=combos, backend="tree")
-        ref = run_table3(bench, combos=combos)
+        ref = run_table3(bench, combos=combos, backend="scipy")
         assert [r.cost for r in tree] == [r.cost for r in ref]
 
     def test_fig8_grid(self, bench):
@@ -162,7 +167,7 @@ class TestExperimentSuiteParity:
 
         kw = dict(widths=(0.1, 0.5), lowers=(1.0, 0.5))
         tree = run_fig8(bench, backend="tree", **kw)
-        ref = run_fig8(bench, **kw)
+        ref = run_fig8(bench, backend="scipy", **kw)
         assert [p.cost for p in tree] == [p.cost for p in ref]
 
 
@@ -290,38 +295,118 @@ class TestResilienceIntegration:
         assert "tree" in report.backends_tried
 
 
-class TestProvenance:
-    def test_tree_stats_populated(self):
+class TestAutoDispatch:
+    """``backend="auto"`` takes the direct tree path from
+    :data:`TREE_MIN_SINKS` sinks up when no warm store is given; the lazy
+    loop keeps everything else."""
+
+    def test_switches_at_the_constant(self):
+        for m in (TREE_MIN_SINKS, TREE_MIN_SINKS - 1):
+            topo = random_topo(m, 4)
+            sol = solve_lubt(topo, DelayBounds.normalized(topo, 0.8, 1.2))
+            assert (sol.stats.backend == "tree") is (m >= TREE_MIN_SINKS)
+
+    def test_lazy_loop_keeps_full_resilient_and_explicit_generic(self):
+        topo = random_topo(TREE_MIN_SINKS, 4)
+        bounds = DelayBounds.normalized(topo, 0.8, 1.2)
+        for kw in (
+            {"mode": "full"},
+            {"resilient": True},
+            {"backend": "scipy"},
+            {"backend": "simplex"},
+            {"warm": WarmStart()},
+        ):
+            assert solve_lubt(topo, bounds, **kw).stats.backend != "tree", kw
+
+    def test_direct_path_is_the_tree_lp_bit_for_bit(self):
         topo = random_topo(24, 8, fixed=True)
-        sol = solve_lubt(topo, DelayBounds.normalized(topo, 0.8, 1.2))
-        tree = solve_lubt(
-            topo, DelayBounds.normalized(topo, 0.8, 1.2), backend="tree"
+        bounds = DelayBounds.normalized(topo, 0.8, 1.2)
+        lp = build_ebf_lp(topo, bounds, pairs=seed_constraint_pairs(topo))
+        ref = solve_lp(lp, "tree")
+        e_ref = expand_edge_vector(topo, ref.x)
+        warm = WarmStart()
+        for sol in (
+            solve_lubt(topo, bounds, validate="strict"),
+            solve_lubt(topo, bounds, backend="tree", warm=warm),
+        ):
+            assert np.array_equal(sol.edge_lengths, e_ref)
+            assert sol.cost == tree_cost(topo, e_ref)
+            stats = sol.stats
+            assert (stats.backend, stats.rounds, stats.steiner_rows) == (
+                "tree", 1, 0
+            )
+            assert stats.lp_iterations == ref.iterations
+            assert stats.warm_rows == 0
+        # An explicit tree solve neither reads nor feeds a warm store.
+        assert warm.solves == 0
+
+    def test_direct_path_is_validated(self, monkeypatch):
+        """The exact all-pairs check still runs on the direct path."""
+        import repro.ebf.solver as solver
+
+        topo = random_topo(TREE_MIN_SINKS, 5)
+        bounds = DelayBounds.normalized(topo, 0.8, 1.2)
+        calls = []
+        real = solver._validate_solution
+        monkeypatch.setattr(
+            solver, "_validate_solution",
+            lambda *a: calls.append(a) or real(*a),
         )
-        assert tree.stats.backend == "tree"
-        assert tree.stats.dual_iterations > 0
-        assert tree.stats.dp_passes > 0
-        assert tree.stats.restricted_master_rounds == tree.stats.rounds
-        # Generic backends carry no tree provenance.
-        assert sol.stats.restricted_master_rounds == 0
-        assert canonical_cost(tree.cost) == canonical_cost(sol.cost)
+        solve_lubt(topo, bounds)
+        assert len(calls) == 1
 
-    def test_lp_result_provenance_mapping(self):
-        topo = random_topo(12, 13)
-        lp = build_ebf_lp(topo, DelayBounds.normalized(topo, 0.8, 1.3))
-        res = solve_lp(lp, "tree")
-        assert res.provenance is not None
-        assert set(res.provenance) == {
-            "dual_iterations",
-            "dp_passes",
-            "restricted_master_rounds",
-        }
-        assert res.provenance["restricted_master_rounds"] == 1
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(min_value=4, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+        fixed=st.booleans(),
+        weighted=st.booleans(),
+        zeroed=st.booleans(),
+        infeasible=st.booleans(),
+    )
+    def test_auto_agrees_with_scipy(
+        self, m, seed, fixed, weighted, zeroed, infeasible
+    ):
+        """Property: ``auto`` and the scipy lazy loop agree in
+        ``canonical_cost`` — feasible or relaxed — and in raising on
+        infeasible windows.
 
-    def test_report_summary_renders_provenance(self):
-        topo = random_topo(12, 13)
-        lp = build_ebf_lp(topo, DelayBounds.normalized(topo, 0.8, 1.3))
-        report = solve_lp_resilient(lp, ["tree"])
-        assert "dual_iterations=" in report.summary()
+        Infeasible draws put every upper bound at 0.6x the radius of a
+        fixed source, below the Manhattan floor of the farthest sinks:
+        the minimal relaxation is then unique (each such sink's upper
+        bound rises to its floor), so both diagnoses relax the same
+        bounds whichever backend solves the elastic LP.
+        """
+        fixed = fixed or infeasible
+        topo = random_topo(m, seed, fixed)
+        r = radius_of(topo)
+        rng = np.random.default_rng(seed)
+        kw = {"check_bounds": False}
+        if weighted:
+            kw["weights"] = np.concatenate(
+                [[0.0], rng.uniform(0.5, 2.0, topo.num_nodes - 1)]
+            )
+        if zeroed:
+            interior = [
+                i for i in range(1, topo.num_nodes) if not topo.is_sink(i)
+            ]
+            kw["zero_edges"] = tuple(interior[:2])
+        if not infeasible:
+            bounds = DelayBounds.uniform(m, 0.9 * r, 1.4 * r)
+            auto = solve_lubt(topo, bounds, **kw)
+            ref = solve_lubt(topo, bounds, backend="scipy", **kw)
+            assert canonical_cost(auto.cost) == canonical_cost(ref.cost)
+            return
+        bounds = DelayBounds.uniform(m, 0.2 * r, 0.6 * r)
+        for backend in ("auto", "scipy"):
+            with pytest.raises(InfeasibleError):
+                solve_lubt(topo, bounds, backend=backend, **kw)
+        auto = solve_lubt(topo, bounds, on_infeasible="relax", **kw)
+        ref = solve_lubt(
+            topo, bounds, backend="scipy", on_infeasible="relax", **kw
+        )
+        assert auto.diagnosis is not None and ref.diagnosis is not None
+        assert canonical_cost(auto.cost) == canonical_cost(ref.cost)
 
 
 class TestServerIntegration:
