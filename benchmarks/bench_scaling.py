@@ -9,6 +9,7 @@ sink count from which ``backend="auto"`` should take the direct tree path
 (``auto_crossover``).
 """
 
+import contextlib
 import json
 import os
 import statistics
@@ -171,18 +172,43 @@ def _timed_solve(topo, bounds, backend):
     return sol, time.perf_counter() - t0
 
 
+@contextlib.contextmanager
+def _timed_checks():
+    """Record the wall seconds of every post-solve check
+    (``repro.ebf.solver._validate_solution``) made inside the block."""
+    import repro.ebf.solver as solver
+
+    real = solver._validate_solution
+    spent: list[float] = []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return real(*args)
+        finally:
+            spent.append(time.perf_counter() - t0)
+
+    solver._validate_solution = timed
+    try:
+        yield spent
+    finally:
+        solver._validate_solution = real
+
+
 def test_tree_tier():
     """Tree-backend tier (1k/4k sinks): record the tree-vs-generic wall
     times in BENCH_scaling.json and gate a >= 10x speedup at 1k sinks."""
     sizes = TREE_SIZES_FULL if full_run() else TREE_SIZES_QUICK
     t = Table(
-        ["sinks", "tree s", "generic s", "speedup", "LP iters", "backend"],
+        ["sinks", "tree s", "check ms", "generic s", "speedup", "LP iters",
+         "backend"],
         title="tree backend vs best generic (synth uniform, window [0.8, 1.2])",
     )
     records = []
     for size in sizes:
         topo, bounds = synth_instance(size, 1996)
-        tree_sol, tree_s = _timed_solve(topo, bounds, "tree")
+        with _timed_checks() as checks:
+            tree_sol, tree_s = _timed_solve(topo, bounds, "tree")
         # The lazy loop on HiGHS, the best generic backend at this size.
         gen_sol, gen_s = _timed_solve(topo, bounds, "scipy")
         assert canonical_cost(tree_sol.cost) == canonical_cost(gen_sol.cost)
@@ -190,6 +216,7 @@ def test_tree_tier():
         t.add_row(
             size,
             f"{tree_s:.3f}",
+            f"{1e3 * checks[0]:.2f}",
             f"{gen_s:.3f}",
             f"{speedup:.1f}x",
             tree_sol.stats.lp_iterations,
@@ -203,6 +230,7 @@ def test_tree_tier():
                 "generic_backend": gen_sol.stats.backend,
                 "speedup": speedup,
                 "lp_iterations": tree_sol.stats.lp_iterations,
+                "check_seconds": checks[0],
                 "cost": tree_sol.cost,
             }
         )
@@ -219,7 +247,9 @@ def _merge_tree_sizes(records):
     tier = {
         "protocol": "synth uniform sinks (seed 1996), window "
         "[0.8, 1.2] x radius, tree vs the lazy loop on scipy (10k+: "
-        "tree only, htree topology)",
+        "tree only, htree topology); one solve_lubt wall each; "
+        "check_seconds: the tree solve's post-solve check",
+        "nproc": os.cpu_count(),
         "sizes": [],
     }
     if BASELINE_PATH.exists():
@@ -245,7 +275,8 @@ def test_tree_tier_xl():
     H-tree builder — the O(m^2) nearest-neighbor merge would take
     minutes just to *construct* a 10k-sink topology."""
     topo, bounds = synth_instance(TREE_XL_SINKS, 1996, topology="htree")
-    sol, seconds = _timed_solve(topo, bounds, "tree")
+    with _timed_checks() as checks:
+        sol, seconds = _timed_solve(topo, bounds, "tree")
     record = {
         "sinks": TREE_XL_SINKS,
         "topology": "htree",
@@ -254,12 +285,14 @@ def test_tree_tier_xl():
         "generic_backend": None,
         "speedup": None,
         "lp_iterations": sol.stats.lp_iterations,
+        "check_seconds": checks[0],
         "cost": sol.cost,
     }
     _update_baseline(tree_tier=_merge_tree_sizes([record]))
     print(
         f"\n{TREE_XL_SINKS} sinks, tree backend: {seconds:.2f}s "
-        f"({sol.stats.lp_iterations} LP iterations, cost {sol.cost:,.1f})"
+        f"({sol.stats.lp_iterations} LP iterations, post-check "
+        f"{1e3 * checks[0]:.1f} ms, cost {sol.cost:,.1f})"
     )
     assert seconds < 60.0, seconds
 

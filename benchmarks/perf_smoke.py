@@ -29,7 +29,11 @@ A tree-backend gate rides along as well: at ``--tree-sinks`` (default
 loop on HiGHS (``backend="scipy"``, the best generic backend at that
 size) by ``--tree-factor`` (default 2x — deliberately far below the
 >= 10x recorded in ``BENCH_scaling.json``'s ``tree_tier``, to absorb
-CI-runner noise) with canonically identical cost.
+CI-runner noise) with canonically identical cost.  On that solution the
+O(n log n) Steiner certificate (``max_steiner_violation``) must match the
+pair scan's maximum within its rounding guard and run at least
+``CERT_FACTOR`` (5x) faster than the post-check scan it replaces, best of
+3 each.
 
 No pytest / pytest-benchmark needed — plain stdlib + repro, so the CI
 job installs numpy and scipy only:
@@ -46,7 +50,15 @@ import time
 from pathlib import Path
 
 from repro.data import load_benchmark
-from repro.ebf import DelayBounds, canonical_cost, solve_lubt, solve_sweep
+from repro.delay import node_delays_linear
+from repro.ebf import (
+    DelayBounds,
+    canonical_cost,
+    solve_lubt,
+    solve_sweep,
+    steiner_violations,
+)
+from repro.ebf.constraints import max_steiner_violation, steiner_certificate
 from repro.geometry import manhattan_radius_from
 from repro.perf import SolveTask, run_many, solve_many
 from repro.topology import nearest_neighbor_topology
@@ -57,6 +69,10 @@ REPO_ROOT = Path(__file__).parent.parent
 SWEEP_WIDTHS = (0.1, 0.5)
 SWEEP_LOWERS = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.25, 0.0)
 SWEEP_SINKS = 64
+
+#: The Steiner certificate must beat the post-check pair scan by this
+#: factor at ``--tree-sinks`` (best of 3 each).
+CERT_FACTOR = 5.0
 
 
 def _instance(size: int) -> SolveTask:
@@ -300,6 +316,46 @@ def check_tree(sinks: int, factor: float) -> list[str]:
         f"{gen_sol.stats.backend} {gen_seconds:.3f}s = {speedup:.1f}x, "
         f"{tree_sol.stats.lp_iterations} LP iterations, costs "
         + ("match" if not failures else "DIFFER/SLOW")
+    )
+    return failures + check_certificate(topo, tree_sol.edge_lengths)
+
+
+def _best_of_3(fn):
+    out, best = None, float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def check_certificate(topo, e) -> list[str]:
+    """Certificate gate: ``max_steiner_violation`` equals the pair scan's
+    maximum (within the certificate's rounding guard) and beats the
+    post-check scan (``tol=1e-5, limit=1``) by ``CERT_FACTOR``."""
+    failures = []
+    worst, cert_seconds = _best_of_3(lambda: max_steiner_violation(topo, e))
+    _, scan_seconds = _best_of_3(
+        lambda: steiner_violations(topo, e, tol=1e-5, limit=1)
+    )
+    scan_max = steiner_violations(topo, e, tol=-float("inf"), limit=1)[0][2]
+    _, guard = steiner_certificate(topo, node_delays_linear(topo, e))
+    if abs(worst - scan_max) > guard:
+        failures.append(
+            f"certificate worst pair {worst!r} != scan maximum "
+            f"{scan_max!r} (guard {guard:.3g}) at {topo.num_sinks} sinks"
+        )
+    ratio = scan_seconds / cert_seconds if cert_seconds > 0 else float("inf")
+    if ratio < CERT_FACTOR:
+        failures.append(
+            f"certificate {1e3 * cert_seconds:.2f} ms is only {ratio:.1f}x "
+            f"faster than the scan's {1e3 * scan_seconds:.2f} ms (need "
+            f"{CERT_FACTOR:g}x) at {topo.num_sinks} sinks"
+        )
+    print(
+        f"Steiner certificate ({topo.num_sinks} sinks): "
+        f"{1e3 * cert_seconds:.2f} ms vs scan {1e3 * scan_seconds:.2f} ms "
+        f"= {ratio:.0f}x, worst pair {worst:.6g} vs scan {scan_max:.6g}"
     )
     return failures
 

@@ -28,13 +28,12 @@ def delay_to_node_linear(topo: Topology, e, node: int) -> float:
 
 
 def node_delays_linear(topo: Topology, e) -> np.ndarray:
-    """Root-to-node pathlength for *every* node, one preorder sweep."""
+    """Root-to-node pathlength for *every* node, one step per depth level
+    (each node gets ``d[parent] + e[node]``, as a preorder walk adds)."""
     e = _as_edge_vector(topo, e)
     d = np.zeros(topo.num_nodes)
-    for i in topo.preorder():
-        p = topo.parent(i)
-        if p is not None:
-            d[i] = d[p] + e[i]
+    for level in topo.levels():
+        d[level.nodes] = d[level.parents] + e[level.nodes]
     return d
 
 

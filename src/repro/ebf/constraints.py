@@ -222,18 +222,92 @@ def steiner_violations(
     return [(int(ii[t]), int(jj[t]), float(vv[t])) for t in order]
 
 
-def max_steiner_violation(topo: Topology, edge_lengths: np.ndarray) -> float:
-    """Largest Steiner-constraint violation (<= 0 when all satisfied)."""
-    d = node_delays_linear(topo, edge_lengths)
+#: ``16 eps``: the certificate's rounding guard per unit of scale (see
+#: :func:`steiner_certificate`).
+_GUARD_EPS = 16.0 * float(np.finfo(np.float64).eps)
+
+
+def steiner_certificate(
+    topo: Topology, node_delays: np.ndarray
+) -> tuple[float, float]:
+    """Exact worst Steiner violation without a pair scan: ``(worst,
+    guard)``.
+
+    ``worst`` is the largest ``dist(s_i, s_j) - pathsum(s_i, s_j)`` over
+    all sink pairs, given the root-to-node delays ``node_delays`` (0.0
+    without pairs, NaN when a delay is not finite).  Splitting the
+    Chebyshev distance into one-sided terms, a pair with LCA ``k`` is
+    violated by
+
+        2 d_k - min((d_i - u_i) + (d_j + u_j), (d_i + u_i) + (d_j - u_j),
+                    (d_i - v_i) + (d_j + v_j), (d_i + v_i) + (d_j - v_j))
+
+    so ``k``'s worst pair needs only, per distinct sink group under
+    ``k`` (each sink-bearing child's subtree, and ``k`` itself when it is
+    a sink), the group minima of ``d - u``, ``d + u``, ``d - v`` and
+    ``d + v`` — the four one-sided chains of :mod:`repro.lp.treesolve` —
+    combined across two *different* groups through each column's two
+    smallest group minima.  Subtree minima roll up one depth level per
+    NumPy step (:meth:`Topology.levels`); the top-two combination then
+    runs over every node at once.  O(n log n), no m x m arrays.
+
+    ``guard`` bounds how far ``worst`` may sit from the
+    :func:`steiner_violations` maximum: both evaluate the same exact
+    value in a different order.  With ``S`` the largest ``|d|``, ``|u|``
+    or ``|v|`` and unit roundoff ``eps / 2``, the scan rounds
+    ``|u_i - u_j|`` (magnitude <= 2S), ``d_i + d_j`` (<= 2S), ``- 2 d_k``
+    (<= 4S) and ``dist - pathsum`` (<= 6S), the certificate ``d_i -
+    u_i`` and ``d_j + u_j`` (<= 2S each), their sum (<= 4S) and ``2 d_k
+    - sum`` (<= 6S); each error is at most ``eps / 2`` times its
+    magnitude plus the errors it inherits, so each side is within
+    ``7 eps S`` of the exact value and the two within ``14 eps S``.
+    ``guard = 16 eps S`` leaves room for the second-order terms.
+    """
+    d = np.asarray(node_delays, dtype=np.float64)
     su, sv = _sink_uv(topo)
-    worst = -np.inf
-    for k, groups in _lca_groups(topo):
-        arrays = [np.asarray(g) for g in groups]
-        for a, b in itertools.combinations(arrays, 2):
-            pathsum = d[a][:, None] + d[b][None, :] - 2.0 * d[k]
-            dist = np.maximum(
-                np.abs(su[a][:, None] - su[b][None, :]),
-                np.abs(sv[a][:, None] - sv[b][None, :]),
-            )
-            worst = max(worst, float((dist - pathsum).max()))
-    return worst if np.isfinite(worst) else 0.0
+    m = topo.num_sinks
+    scale = max(float(np.abs(d).max()), float(np.abs(su).max()),
+                float(np.abs(sv).max()))
+    guard = _GUARD_EPS * scale
+    if m < 2:
+        return 0.0, guard
+    if not np.isfinite(scale):
+        return float("nan"), guard
+    # Each sink's own group, columns d-u, d+u, d-v, d+v; +inf elsewhere
+    # (a group no pair can use).
+    n = topo.num_nodes
+    own = np.full((n, 4), np.inf)
+    ds = d[1 : m + 1]
+    own[1 : m + 1, 0] = ds - su[1 : m + 1]
+    own[1 : m + 1, 1] = ds + su[1 : m + 1]
+    own[1 : m + 1, 2] = ds - sv[1 : m + 1]
+    own[1 : m + 1, 3] = ds + sv[1 : m + 1]
+    # low[k]: the smallest group minimum at k, i.e. its subtree minimum.
+    low = own.copy()
+    for level in reversed(topo.levels()):
+        np.minimum.at(low, level.parents, low[level.nodes])
+    # first[k]: the group attaining low[k] (-1: k's own sink, else the
+    # lowest such child id); second[k]: the smallest minimum among k's
+    # other groups.
+    kids, par = low[1:], topo.parent_array()[1:]
+    ids = np.arange(1, n)[:, None]
+    first = np.where(own == low, -1, n)
+    np.minimum.at(first, par, np.where(kids == low[par], ids, n))
+    second = np.where(first == -1, np.inf, own)
+    np.minimum.at(second, par, np.where(first[par] == ids, np.inf, kids))
+    # Cheapest (d-u)_a + (d+u)_b over groups a != b, and (d-v) + (d+v).
+    pair = np.where(
+        first[:, 0::2] == first[:, 1::2],
+        np.minimum(low[:, 0::2] + second[:, 1::2],
+                   second[:, 0::2] + low[:, 1::2]),
+        low[:, 0::2] + low[:, 1::2],
+    )
+    worst = float((2.0 * d - pair.min(axis=1)).max())
+    return worst, guard
+
+
+def max_steiner_violation(topo: Topology, edge_lengths: np.ndarray) -> float:
+    """Largest Steiner-constraint violation (<= 0 when all satisfied,
+    0.0 without pairs), computed by :func:`steiner_certificate`: the
+    :func:`steiner_violations` maximum up to the certificate's guard."""
+    return steiner_certificate(topo, node_delays_linear(topo, edge_lengths))[0]

@@ -93,13 +93,10 @@ def build_tree_lp(
 
     # The tree facts the flat rows no longer expose, enabling the
     # structure-aware backend="tree" (see repro.lp.treesolve).
-    parents = np.zeros(topo.num_nodes, dtype=np.int64)
-    for v in range(1, topo.num_nodes):
-        parents[v] = topo.parent(v)
     su, sv = topo.sink_uv()
     lower, upper = sink_windows(topo, bounds)
     lp.tree_meta = TreeLpMeta(
-        parents=parents,
+        parents=topo.parent_array(),
         num_sinks=topo.num_sinks,
         su=su,
         sv=sv,

@@ -47,28 +47,6 @@ PLACEMENT_SLACK = 1e-9
 _ULO, _UHI, _VLO, _VHI = 0, 1, 2, 3
 
 
-def _levels(topo: Topology) -> list[np.ndarray]:
-    """Node ids grouped by depth: ``levels[d]`` holds every node at depth
-    ``d`` in increasing id order (children lists are id-ascending too, so
-    scatter order matches the scalar child fold)."""
-    depth = np.fromiter(
-        (topo.depth(i) for i in range(topo.num_nodes)),
-        dtype=np.int64,
-        count=topo.num_nodes,
-    )
-    order = np.argsort(depth, kind="stable")
-    splits = np.searchsorted(depth[order], np.arange(1, int(depth.max()) + 1))
-    return np.split(order, splits)
-
-
-def _parents_array(topo: Topology) -> np.ndarray:
-    """Parent ids as an int array (entry 0 is a self-loop placeholder)."""
-    par = np.zeros(topo.num_nodes, dtype=np.int64)
-    for i in range(1, topo.num_nodes):
-        par[i] = topo.parent(i)  # type: ignore[assignment]
-    return par
-
-
 def _first_in_order(order, problem: np.ndarray) -> int:
     for k in order:
         if problem[k]:
@@ -108,13 +86,9 @@ def feasible_bounds(topo: Topology, edge_lengths) -> np.ndarray:
     fb[is_sink, _VLO] = sv[is_sink]
     fb[is_sink, _VHI] = sv[is_sink]
 
-    par = _parents_array(topo)
-    levels = _levels(topo)
     # Deepest level first: when level d is processed every node there is
     # final, and its expanded box folds into its (depth d-1) parent.
-    for level in reversed(levels[1:]):
-        c = level
-        p = par[c]
+    for c, p in reversed(topo.levels()):
         # Interior sinks keep their point region — the scalar sweep never
         # intersects children into a sink node.
         grow = ~is_sink[p]
@@ -139,7 +113,7 @@ def feasible_bounds(topo: Topology, edge_lengths) -> np.ndarray:
     # A childless Steiner node never shrinks from the whole plane; the
     # scalar loop reports it the moment postorder reaches it.
     childless = np.ones(n, dtype=bool)
-    childless[par[1:]] = False
+    childless[topo.parent_array()[1:]] = False
     childless &= ~is_sink
     childless[0] = False
     problem = empty | childless
@@ -184,11 +158,8 @@ def place_xy(
         xy[0, 0] = (u0 - v0) / 2.0
         xy[0, 1] = (u0 + v0) / 2.0
 
-    par = _parents_array(topo)
     any_empty = np.zeros(n, dtype=bool)
-    for level in _levels(topo)[1:]:
-        c = level
-        p = par[c]
+    for c, p in topo.levels():
         # Re-derive (u, v) from the stored (x, y) exactly as Point.u /
         # Point.v do — the rotation round-trip is lossy in floating
         # point, and the scalar path goes through Point between levels.

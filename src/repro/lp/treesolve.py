@@ -342,12 +342,18 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         ]
     )
     sign = 1.0 if lp.minimize else -1.0
+    # Dual simplex with Dantzig pricing, a fixed measured choice: on
+    # these models it takes ~12 % more pivots than HiGHS's default
+    # steepest edge, but each is cheaper.  LP time ties up to 128 sinks
+    # and falls 1.0-1.25x at 512-1024 sinks, 1.45-1.64x at 2048-4096
+    # (docs/PERFORMANCE.md, "Pricing").
     res = linprog(
         sign * c,
         A_ub=a_ub,
         b_ub=b_ub,
         bounds=var_bounds,
-        method="highs",
+        method="highs-ds",
+        options={"simplex_dual_edge_weight_strategy": "dantzig"},
     )
     iterations = int(getattr(res, "nit", 0) or 0)
     message = str(getattr(res, "message", "") or "").strip() or None

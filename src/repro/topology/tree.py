@@ -15,7 +15,7 @@ nodes deep).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,14 @@ class NodeKind(Enum):
     ROOT = "root"
     SINK = "sink"
     STEINER = "steiner"
+
+
+class Level(NamedTuple):
+    """The nodes at one depth and their parents (``parents[t]`` is the
+    parent of ``nodes[t]``)."""
+
+    nodes: np.ndarray
+    parents: np.ndarray
 
 
 class Topology:
@@ -81,13 +89,29 @@ class Topology:
         self._post = self._compute_postorder()
         # Lazily-built, memoized derived tables (the topology is
         # immutable, so they never invalidate): binary-lifting ancestors,
-        # per-subtree sink lists, rotated sink coordinates, and the
+        # per-subtree sink lists, rotated sink coordinates, the
         # root-path edge-incidence matrix used by the vectorized
-        # Steiner-row builder.
+        # Steiner-row builder, and the parent array and depth levels
+        # the array tree sweeps step by.
         self._lift: list[list[int]] | None = None
         self._sinks_under: list[list[int]] | None = None
         self._sink_uv: tuple[np.ndarray, np.ndarray] | None = None
         self._incidence = None
+        self._parent_array: np.ndarray | None = None
+        self._levels: tuple[Level, ...] | None = None
+
+    #: The memoized tables above: cheap to rebuild, so pickles (worker
+    #: task and result payloads) leave them out.
+    _DERIVED = (
+        "_lift", "_sinks_under", "_sink_uv", "_incidence",
+        "_parent_array", "_levels",
+    )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            state[name] = None
+        return state
 
     # ------------------------------------------------------------------
     # shape accessors
@@ -261,6 +285,38 @@ class Topology:
                 sv[i] = p.v
             self._sink_uv = (su, sv)
         return self._sink_uv
+
+    def parent_array(self) -> np.ndarray:
+        """Parent ids as an int64 array, entry 0 (the root) set to 0;
+        memoized, read-only."""
+        if self._parent_array is None:
+            par = np.zeros(self.num_nodes, dtype=np.int64)
+            par[1:] = self._parents[1:]
+            par.flags.writeable = False
+            self._parent_array = par
+        return self._parent_array
+
+    def levels(self) -> tuple[Level, ...]:
+        """The non-root nodes by depth, shallowest first (entry 0 holds
+        the root's children); memoized, read-only.
+
+        Walking the tuple forwards visits every parent before its
+        children (root-to-leaf sweeps), backwards every child before its
+        parent (subtree sweeps): one NumPy step per depth instead of one
+        Python step per node.  Within a level nodes are in id order.
+        """
+        if self._levels is None:
+            depth = np.asarray(self._depth, dtype=np.int64)
+            nodes = np.argsort(depth, kind="stable")
+            nodes.flags.writeable = False
+            parents = self.parent_array()[nodes]
+            parents.flags.writeable = False
+            ends = np.cumsum(np.bincount(depth)).tolist()
+            self._levels = tuple(
+                Level(nodes[a:b], parents[a:b])
+                for a, b in zip(ends[:-1], ends[1:])
+            )
+        return self._levels
 
     def root_path_incidence(self):
         """CSR edge-incidence of every root path, memoized (read-only).

@@ -49,6 +49,23 @@ class TestLinear:
         for i in range(topo.num_nodes):
             assert d[i] == pytest.approx(delay_to_node_linear(topo, e, i))
 
+    @given(st.integers(1, 40), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_node_delays_bit_identical_to_preorder_walk(self, m, seed):
+        """One NumPy step per depth level adds exactly what a preorder
+        walk adds, node by node: ``d[parent] + e[node]``."""
+        rng = np.random.default_rng(seed)
+        n = m + 1 + int(rng.integers(0, m + 1))
+        parents = [None] + [int(rng.integers(0, i)) for i in range(1, n)]
+        pts = [Point(float(x), float(y)) for x, y in rng.uniform(0, 99, (m, 2))]
+        topo = Topology(parents, m, pts)
+        e = rng.uniform(0.0, 1e3, n) * 10.0 ** rng.integers(-6, 6, n)
+        ref = np.zeros(n)
+        for i in topo.preorder():
+            if i:
+                ref[i] = ref[topo.parent(i)] + e[i]
+        assert np.array_equal(node_delays_linear(topo, e), ref)
+
     def test_tree_cost(self, small_tree):
         topo, e = small_tree
         assert tree_cost(topo, e) == pytest.approx(6.5)

@@ -7,14 +7,25 @@ from hypothesis import strategies as st
 
 from repro.delay import node_delays_linear
 from repro.ebf import (
+    DelayBounds,
     seed_constraint_pairs,
     sink_pair_count,
     steiner_constraint_rows,
     steiner_violations,
 )
-from repro.ebf.constraints import all_sink_pairs, max_steiner_violation
+from repro.ebf import solver
+from repro.ebf.constraints import (
+    all_sink_pairs,
+    max_steiner_violation,
+    steiner_certificate,
+)
 from repro.geometry import Point, manhattan
-from repro.topology import Topology, nearest_neighbor_topology
+from repro.topology import (
+    Topology,
+    chain_topology,
+    htree_topology,
+    nearest_neighbor_topology,
+)
 
 
 @pytest.fixture
@@ -179,3 +190,144 @@ class TestViolations:
         e[0] = 0
         v = steiner_violations(topo, e, tol=-np.inf)
         assert max_steiner_violation(topo, e) == pytest.approx(v[0][2])
+
+
+TOPOLOGY_KINDS = ("nn", "htree", "chain", "recursive", "coincident")
+
+
+def certificate_instance(kind, m, seed, zeros, scale_exp):
+    """A topology of ``kind`` and a non-negative edge vector for it.
+
+    ``recursive`` attaches every node to a random earlier one, so sinks
+    sit inside the tree with any number of children (Fig. 1(a) chains
+    generalised) and some Steiner nodes have no sink below;
+    ``coincident`` puts several sinks on one point.  Coordinates and
+    edges are scaled by ``2**scale_exp`` (exactly) to vary the magnitude
+    the certificate's guard scales with; ``zeros`` zeroes a third of
+    the edges.
+    """
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(0, 100, (m, 2))
+    if kind == "coincident":
+        xy = xy[rng.integers(0, max(1, m // 3), m)]
+    unit = 2.0 ** scale_exp
+    pts = [Point(unit * float(x), unit * float(y)) for x, y in xy]
+    source = Point(50.0 * unit, 50.0 * unit)
+    if kind == "htree":
+        topo = htree_topology(pts, source)
+    elif kind == "chain":
+        topo = chain_topology(pts, source)
+    elif kind == "recursive":
+        n = m + 1 + int(rng.integers(0, m + 1))
+        parents = [None] + [int(rng.integers(0, i)) for i in range(1, n)]
+        topo = Topology(parents, m, pts, source)
+    else:
+        topo = nearest_neighbor_topology(pts, source if seed % 2 else None)
+    e = unit * rng.uniform(0.0, 60.0, topo.num_nodes)
+    if zeros:
+        e[rng.random(topo.num_nodes) < 1 / 3] = 0.0
+    e[0] = 0.0
+    return topo, e
+
+
+def scan_worst(topo, e):
+    """The pair scan's largest ``dist - pathsum`` (None without pairs)."""
+    top = steiner_violations(topo, e, tol=-np.inf, limit=1)
+    return top[0][2] if top else None
+
+
+def guarded_check_raises(topo, e):
+    """Whether ``solve_lubt``'s post-check (certificate, then the scan
+    on borderline cases) rejects ``e`` under open delay windows."""
+    bounds = DelayBounds.unbounded(topo.num_sinks)
+    try:
+        solver._validate_solution(topo, bounds, e, node_delays_linear(topo, e))
+    except AssertionError:
+        return True
+    return False
+
+
+def scan_check_raises(topo, e):
+    return bool(steiner_violations(topo, e, tol=solver._CHECK_TOL, limit=1))
+
+
+def crossing(topo, e, target):
+    """Adjacent scale factors ``a < b`` with the scan's worst pair of
+    ``a * e`` above ``target`` and that of ``b * e`` at or below it, or
+    None when no rescaling of ``e`` crosses ``target``."""
+    start = scan_worst(topo, 0.0 * e)
+    if start is None or start <= target:
+        return None
+    lo, hi = 0.0, 1.0
+    while scan_worst(topo, hi * e) > target:
+        lo, hi = hi, 2.0 * hi
+        if hi > 2.0**40:
+            return None  # the worst pair's path has zero length
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if scan_worst(topo, mid * e) > target:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestCertificate:
+    """The O(n log n) certificate against the O(m^2) pair scan."""
+
+    @given(
+        kind=st.sampled_from(TOPOLOGY_KINDS),
+        m=st.integers(1, 24),
+        seed=st.integers(0, 10_000),
+        zeros=st.booleans(),
+        scale_exp=st.integers(-8, 24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_equals_scan(self, kind, m, seed, zeros, scale_exp):
+        topo, e = certificate_instance(kind, m, seed, zeros, scale_exp)
+        worst, guard = steiner_certificate(topo, node_delays_linear(topo, e))
+        ref = scan_worst(topo, e)
+        if ref is None:
+            assert worst == 0.0
+        else:
+            assert abs(worst - ref) <= guard, (worst, ref, guard)
+        assert max_steiner_violation(topo, e) == worst
+
+    @given(
+        kind=st.sampled_from(TOPOLOGY_KINDS),
+        m=st.integers(1, 16),
+        seed=st.integers(0, 10_000),
+        zeros=st.booleans(),
+        scale_exp=st.integers(-4, 24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_guarded_verdict_is_the_scans(
+        self, kind, m, seed, zeros, scale_exp
+    ):
+        """Rescale the edges so the scan's worst pair sits just above and
+        at-or-below ``tol``, ``tol +- 1 ulp`` and ``tol +- guard``: the
+        post-check must reject exactly when the scan reports a pair."""
+        topo, e = certificate_instance(kind, m, seed, zeros, scale_exp)
+        tol = solver._CHECK_TOL
+        _, guard = steiner_certificate(topo, node_delays_linear(topo, e))
+        targets = (
+            tol,
+            np.nextafter(tol, np.inf),
+            np.nextafter(tol, -np.inf),
+            tol + guard,
+            tol - guard,
+        )
+        scales = [1.0]
+        for target in targets:
+            scales += crossing(topo, e, target) or ()
+        for a in scales:
+            assert guarded_check_raises(topo, a * e) == scan_check_raises(
+                topo, a * e
+            ), (a, scan_worst(topo, a * e))
+
+    def test_interior_sink_pairs_count(self):
+        """A chain's only pairs are ancestor-descendant ones."""
+        topo = chain_topology([Point(4, 0), Point(0, 4)], source=Point(0, 0))
+        e = np.array([0.0, 4.0, 1.0])  # path(s1,s2) = e2 = 1 < dist = 8
+        assert max_steiner_violation(topo, e) == 7.0

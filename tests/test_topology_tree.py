@@ -144,6 +144,43 @@ class TestTraversal:
         for k in range(t.num_nodes):
             assert sorted(table[k]) == sorted(t.subtree_sinks(k))
 
+    def test_levels_partition_by_depth(self, paper_fig3):
+        t = paper_fig3
+        levels = t.levels()
+        assert sorted(v for lv in levels for v in lv.nodes.tolist()) == list(
+            range(1, t.num_nodes)
+        )
+        for d, (nodes, parents) in enumerate(levels, start=1):
+            assert list(nodes) == sorted(nodes)
+            assert all(t.depth(v) == d for v in nodes)
+            assert list(parents) == [t.parent(v) for v in nodes]
+        assert list(t.parent_array()) == [0] + [
+            t.parent(i) for i in range(1, t.num_nodes)
+        ]
+        # Memoized and shared, so callers cannot write to them.
+        with pytest.raises(ValueError):
+            t.parent_array()[1] = 0
+        with pytest.raises(ValueError):
+            levels[0].nodes[0] = 0
+
+    def test_pickle_leaves_out_memoized_tables(self, paper_fig3):
+        """Worker payloads carry the tree, not its derived tables, which
+        the receiving side rebuilds on demand."""
+        import pickle
+
+        t = paper_fig3
+        t.levels(), t.sink_uv(), t.sinks_under(), t.lca(1, 2)
+        t.root_path_incidence()
+        copy = pickle.loads(pickle.dumps(t))
+        assert all(getattr(copy, name) is None for name in t._DERIVED)
+        assert [copy.parent(i) for i in range(t.num_nodes)] == [
+            t.parent(i) for i in range(t.num_nodes)
+        ]
+        assert copy.lca(3, 4) == t.lca(3, 4) == 7
+        assert [lv.nodes.tolist() for lv in copy.levels()] == [
+            lv.nodes.tolist() for lv in t.levels()
+        ]
+
 
 class TestDegenerateBuilders:
     def test_star(self):

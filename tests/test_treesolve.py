@@ -355,6 +355,44 @@ class TestAutoDispatch:
         solve_lubt(topo, bounds)
         assert len(calls) == 1
 
+    def test_valid_direct_solve_runs_no_pair_scan(self, monkeypatch):
+        """The certificate settles a valid solve; the O(m^2) scan stays
+        idle."""
+        import repro.ebf.solver as solver
+
+        topo = random_topo(40, 6, fixed=True)
+        bounds = DelayBounds.normalized(topo, 0.8, 1.2)
+        calls = []
+        real = solver.steiner_violations
+        monkeypatch.setattr(
+            solver, "steiner_violations",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        sol = solve_lubt(topo, bounds)
+        assert sol.stats.backend == "tree"
+        assert calls == []
+
+    def test_direct_path_rejects_a_broken_tree_lp(self, monkeypatch):
+        """Halving every edge of the tree LP's answer breaks Steiner
+        rows; the post-check still names a violated pair."""
+        import dataclasses
+
+        import repro.lp.treesolve as treesolve
+
+        real = treesolve.solve_tree
+
+        def halved(lp):
+            res = real(lp)
+            return dataclasses.replace(res, x=0.5 * res.x)
+
+        monkeypatch.setattr(treesolve, "solve_tree", halved)
+        topo = random_topo(40, 6, fixed=True)
+        bounds = DelayBounds.unbounded(topo.num_sinks)
+        with pytest.raises(
+            AssertionError, match=r"Steiner constraint \(\d+,\d+\)"
+        ):
+            solve_lubt(topo, bounds)
+
     @settings(max_examples=40, deadline=None)
     @given(
         m=st.integers(min_value=4, max_value=40),
