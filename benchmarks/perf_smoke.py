@@ -12,17 +12,12 @@ task sent through ``run_many`` (one resident worker, 1 s timeout) must
 come back ``timed_out`` within seconds — its worker killed, not waited
 out.
 
-Two sweep-engine gates ride along (see docs/PERFORMANCE.md):
-
-* **warm vs cold** — a 16-point fig8-style bound sweep at 64 sinks on
-  the lazy loop (``backend="scipy"``: warm rows only feed the loop) must
-  run at least ``--sweep-factor`` (default 2x) faster warm-started than
-  cold, with bit-identical canonical per-point costs; fresh timings are
-  written to ``BENCH_sweep.json`` at the repo root.
-* **racing equivalence** — ``race="auto"`` must return the same
-  canonical cost as the sequential solve and record every backend,
-  cancelled losers included (the tree backend races too and must show
-  up in the attempt log).
+A sweep-engine gate rides along (see docs/PERFORMANCE.md): a 16-point
+fig8-style bound sweep at 64 sinks on the lazy loop (``backend="scipy"``:
+warm rows only feed the loop) must run at least ``--sweep-factor``
+(default 2x) faster warm-started than cold, with bit-identical canonical
+per-point costs; fresh timings are written to ``BENCH_sweep.json`` at the
+repo root.
 
 A tree-backend gate rides along as well: at ``--tree-sinks`` (default
 1024) the structure-aware ``backend="tree"`` solve must beat the lazy
@@ -240,49 +235,6 @@ def check_sweep(
     return failures
 
 
-def check_race() -> list[str]:
-    """Racing equivalence: ``race="auto"`` must return the sequential
-    answer (canonically) and record every chain backend per LP — the
-    tree backend included."""
-    failures = []
-    topo, _, bounds_list = _sweep_instance(32)
-    bounds = bounds_list[0]
-    seq = solve_lubt(topo, bounds, check_bounds=False)
-    raced = solve_lubt(topo, bounds, check_bounds=False, race="auto")
-    if canonical_cost(seq.cost) != canonical_cost(raced.cost):
-        failures.append(
-            f"raced cost {raced.cost!r} != sequential {seq.cost!r} "
-            "(canonical)"
-        )
-    if not raced.solve_reports:
-        failures.append("race='auto' produced no solve reports")
-    for rep in raced.solve_reports:
-        if len(rep.attempts) < 2:
-            failures.append(
-                "race report is missing the losing backend: "
-                + ", ".join(a.backend for a in rep.attempts)
-            )
-            break
-    if raced.solve_reports and not any(
-        a.backend == "tree"
-        for rep in raced.solve_reports
-        for a in rep.attempts
-    ):
-        failures.append("tree backend never appeared in race attempts")
-    cancelled = sum(
-        1
-        for rep in raced.solve_reports
-        for a in rep.attempts
-        if a.outcome == "cancelled"
-    )
-    print(
-        f"racing equivalence: {len(raced.solve_reports)} LP(s), "
-        f"{cancelled} cancelled loser(s), costs "
-        + ("match" if not failures else "DIFFER")
-    )
-    return failures
-
-
 def check_tree(sinks: int, factor: float) -> list[str]:
     """Tree-backend gate: at ``sinks`` the structure-aware solve must
     beat the lazy loop on HiGHS by ``factor`` with a canonically
@@ -379,7 +331,7 @@ def main(argv=None) -> int:
                     default=REPO_ROOT / "BENCH_sweep.json",
                     help="where to write fresh sweep timings")
     ap.add_argument("--skip-sweep", action="store_true",
-                    help="skip the warm-vs-cold sweep and racing gates")
+                    help="skip the warm-vs-cold sweep gate")
     ap.add_argument("--tree-sinks", type=int, default=1024,
                     help="sink count for the tree-backend gate "
                     "(default 1024)")
@@ -395,7 +347,6 @@ def main(argv=None) -> int:
     failures += check_pool(sizes, args.jobs)
     if not args.skip_sweep:
         failures += check_sweep(args.sweep_factor, args.repeats, args.sweep_out)
-        failures += check_race()
     if not args.skip_tree:
         failures += check_tree(args.tree_sinks, args.tree_factor)
 

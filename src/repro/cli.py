@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the experiment drivers:
 
     lubt solve  --bench prim1 --lower 0.9 --upper 1.1 [--sinks 64]
-                [--resilient] [--race] [--lp-timeout S] [--diagnose]
+                [--resilient] [--diagnose]
     lubt table1 --bench prim1 [--sinks 64] [--jobs N]
     lubt table2 --bench prim2 --skew 0.5 [--sinks 64] [--jobs N]
     lubt table3 --bench r1 [--sinks 64] [--jobs N]
@@ -145,9 +145,7 @@ def _cmd_solve(args) -> int:
             bounds,
             check_bounds=False,
             resilient=args.resilient,
-            lp_timeout=args.lp_timeout,
             on_infeasible=on_infeasible,
-            race="auto" if args.race else None,
             backend=args.backend,
         )
     except AllBackendsFailedError as exc:
@@ -173,27 +171,8 @@ def _cmd_solve(args) -> int:
     t.add_row("backend", sol.stats.backend)
     t.add_row("LP seconds", f"{sol.stats.lp_seconds:.4f}")
     t.add_row("embed seconds", f"{sol.stats.embed_seconds:.4f}")
-    if args.resilient or args.race:
+    if args.resilient:
         t.add_row("LP fallbacks", sol.stats.lp_fallbacks)
-    if args.race:
-        from collections import Counter
-
-        wins = Counter(
-            r.result.backend
-            for r in sol.solve_reports
-            if r.result is not None
-        )
-        cancelled = sum(
-            1
-            for r in sol.solve_reports
-            for a in r.attempts
-            if a.outcome == "cancelled"
-        )
-        t.add_row(
-            "race winners",
-            ", ".join(f"{b} x{n}" for b, n in sorted(wins.items()))
-            + f" ({cancelled} cancelled)",
-        )
     print(t)
     if sol.diagnosis is not None:
         # Graceful degradation must end in a routable tree, not just an
@@ -671,19 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="solve LPs through the backend fallback chain "
         "(simplex -> scipy -> tree, with retries)",
-    )
-    p.add_argument(
-        "--race",
-        action="store_true",
-        help="race the LP backends concurrently and take the first "
-        "definitive answer (losers are cancelled and recorded)",
-    )
-    p.add_argument(
-        "--lp-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-attempt LP wall-clock limit (resilient mode)",
     )
     p.add_argument(
         "--diagnose",

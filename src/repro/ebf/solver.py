@@ -162,10 +162,8 @@ def solve_lubt(
     validate: bool | str = True,
     keep_lp: bool = False,
     resilient: bool = False,
-    lp_timeout: float | None = None,
     on_infeasible: str = "raise",
     warm=None,
-    race: str | None = None,
     breakers=None,
     solvers=None,
 ) -> LubtSolution:
@@ -211,7 +209,7 @@ def solve_lubt(
         floor (``BD005``), keeping the two knobs consistent.
     resilient:
         Route every LP through :func:`repro.resilience.solve_lp_resilient`
-        (backend cascade + per-attempt ``lp_timeout`` + rescale retry)
+        (backend cascade + rescale retry, on the caller's thread)
         instead of a single backend; the per-LP
         :class:`~repro.resilience.SolveReport` history lands in
         ``solution.solve_reports``.
@@ -235,17 +233,10 @@ def solve_lubt(
         lazy loop at any size.  Ignored in full mode (all rows are
         present anyway) and on ``backend="tree"`` (its direct path has
         no rows to seed).
-    race:
-        ``"auto"`` races the backend cascade concurrently on every LP —
-        first definitive answer wins, losers are cancelled and recorded
-        (see :func:`repro.resilience.solve_lp_resilient`).  Implies
-        ``resilient=True`` (racing lives in the resilient pipeline);
-        every race's :class:`~repro.resilience.SolveReport` lands in
-        ``solution.solve_reports``, cancelled losers included.
     breakers:
         A :class:`~repro.resilience.BreakerRegistry` shared across
         solves (resilient mode only).  Backends whose circuit is open
-        are skipped without paying their timeout; each LP attempt feeds
+        are skipped without being called; each LP attempt feeds
         the registry, and per-LP breaker states appear in the solve
         reports.  Long-lived callers (the solve server, pool workers)
         pass one registry so a backend's failures in one request protect
@@ -256,10 +247,6 @@ def solve_lubt(
         only) — the fault-injection seam chaos tests use to force
         server-side backend failures.
     """
-    if race not in (None, "off", "auto"):
-        raise ValueError(f"unknown race mode {race!r}")
-    if race == "auto":
-        resilient = True
     if on_infeasible not in ("raise", "diagnose", "relax"):
         raise ValueError(f"unknown on_infeasible {on_infeasible!r}")
     if mode not in ("lazy", "full"):
@@ -286,9 +273,7 @@ def solve_lubt(
         validate=validate,
         keep_lp=keep_lp,
         resilient=resilient,
-        lp_timeout=lp_timeout,
         warm=warm,
-        race=race,
         breakers=breakers,
         solvers=solvers,
     )
@@ -313,8 +298,8 @@ def solve_lubt(
             from repro.resilience import backend_chain, solve_lp_resilient
 
             report = solve_lp_resilient(
-                lp, backend_chain(lp, resolved), timeout=lp_timeout,
-                race=race, breakers=breakers, solvers=solvers,
+                lp, backend_chain(lp, resolved),
+                breakers=breakers, solvers=solvers,
             )
             reports.append(report)
             return report.result
@@ -510,7 +495,6 @@ def _handle_infeasible(topo, bounds, on_infeasible, retry_kwargs):
         batch=retry_kwargs["batch"],
         max_rounds=retry_kwargs["max_rounds"],
         resilient=retry_kwargs["resilient"],
-        timeout=retry_kwargs["lp_timeout"],
     )
     if on_infeasible == "diagnose":
         err = InfeasibleError(

@@ -89,12 +89,11 @@ def solve_and_embed(
 
     Resilience knobs pass straight through to :func:`solve_lubt`:
     ``resilient=True`` runs every LP through the backend fallback chain
-    (plus ``lp_timeout=`` for per-attempt wall-clock limits), and
-    ``on_infeasible="relax"`` degrades gracefully — the returned solution
-    carries ``sol.diagnosis`` and the tree is embedded under the
-    minimally relaxed bounds, which stay embeddable because the elastic
-    re-solve keeps the geometric ``path >= dist(source, sink)`` floor
-    hard (see docs/ROBUSTNESS.md).
+    on the caller's thread, and ``on_infeasible="relax"`` degrades
+    gracefully — the returned solution carries ``sol.diagnosis`` and the
+    tree is embedded under the minimally relaxed bounds, which stay
+    embeddable because the elastic re-solve keeps the geometric
+    ``path >= dist(source, sink)`` floor hard (see docs/ROBUSTNESS.md).
     """
     sol = solve_lubt(
         topo,

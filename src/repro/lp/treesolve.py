@@ -43,8 +43,8 @@ but needs the tree facts the flat rows no longer expose.
 builds the row-less stamped model ``solve_lubt``'s direct path solves);
 any LP without the stamp — or with rows appended outside the tree-aware
 builders (watermarked by ``covered_rows``) — is declined with
-:class:`BackendCapabilityError`, which the resilient cascade and the
-race path treat as a clean fall-through to a generic backend.  Elastic
+:class:`BackendCapabilityError`, which the resilient cascade treats as
+a clean fall-through to a generic backend.  Elastic
 infeasibility-diagnosis LPs carry no stamp, so infeasible instances
 route through ``diagnose_infeasibility`` exactly as before.
 """

@@ -2,10 +2,10 @@
 
 The experiment tables, bound sweeps and chip-scale CTS runs each solve
 many independent LUBT instances; this package runs them across worker
-*processes* (``--jobs N`` on the CLI) through one executor.  Unlike the
-thread-based timeouts in :mod:`repro.resilience`, a timed-out worker
-here is **killed**, not abandoned — a pathological LP cannot leave a
-runaway solve burning CPU.
+*processes* (``--jobs N`` on the CLI) through one executor.  A timed-out
+worker is **killed**, not abandoned — a pathological LP cannot leave a
+runaway solve burning CPU.  These kills are the only hard time bound on
+a solve: :mod:`repro.resilience` runs its cascade inline, with no clock.
 
 * :func:`run_many` — the one batch executor: ordered fan-out of a
   picklable function over argument tuples, inline when serial, else

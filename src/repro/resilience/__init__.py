@@ -5,10 +5,11 @@ degrade gracefully, not die on the first solver hiccup.  This package
 hardens the LP -> embed pipeline in three layers:
 
 * :func:`solve_lp_resilient` — a configurable backend cascade
-  (simplex -> scipy/HiGHS by default) with per-attempt wall-clock
-  timeouts, retry-on-numerical-error with input rescaling, result
+  (simplex -> scipy/HiGHS -> tree by default) run on the caller's
+  thread, with retry-on-numerical-error with input rescaling, result
   validation (NaN / infeasible "optimal" answers are rejected), and a
-  structured :class:`SolveReport` of every attempt;
+  structured :class:`SolveReport` of every attempt; hard time bounds
+  come from killed pool workers (:mod:`repro.perf`), not the cascade;
 * :func:`diagnose_infeasibility` — when the EBF is infeasible, an
   elastic re-solve names the conflicting sink bounds and the minimal
   relaxation per bound (:class:`InfeasibilityDiagnosis`), and hands back
@@ -17,8 +18,8 @@ hardens the LP -> embed pipeline in three layers:
   wrappers (exceptions, stalls, NaN solutions, wrong statuses) so the
   fallback and retry logic is exercisable in CI, not just in outages;
 * :mod:`repro.resilience.breaker` — per-backend circuit breakers
-  (closed / open / half-open) that stop paying timeouts for a backend
-  that keeps failing, shared by ``solve_lp_resilient`` and the server;
+  (closed / open / half-open) that stop paying for a backend that
+  keeps failing, shared by ``solve_lp_resilient`` and the server;
 * :mod:`repro.resilience.chaos` — a seeded chaos soak harness
   (:func:`run_chaos`) that abuses a live solve server with overload,
   worker kills, injected backend faults, and protocol garbage while

@@ -1,10 +1,10 @@
 """Per-backend circuit breakers for the resilient solve pipeline.
 
-A backend that keeps failing (crashing, timing out, returning garbage)
-should stop being *tried*: every attempt against it costs a full
-``lp_timeout`` of wall clock, and under load that latency multiplies
-across every queued request.  A :class:`CircuitBreaker` watches one
-backend's consecutive failures and trips **open** after
+A backend that keeps failing (crashing, returning garbage) should stop
+being *tried*: every attempt against it costs the wall clock of a
+failing call plus its rescaled retry, and under load that latency
+multiplies across every queued request.  A :class:`CircuitBreaker`
+watches one backend's consecutive failures and trips **open** after
 ``failure_threshold`` of them; while open, :func:`~repro.resilience.
 solve_lp_resilient` skips the backend outright (recording a
 ``skipped`` :class:`~repro.resilience.SolveAttempt` so the report says
@@ -16,14 +16,14 @@ Design notes:
 
 * *Definitive* answers (optimal / infeasible / unbounded) count as
   successes — they prove the backend works; the model's feasibility is
-  not the backend's fault.  Failures are exceptions, timeouts, ``ERROR``
+  not the backend's fault.  Failures are exceptions, ``ERROR``
   statuses, and invalid "optimal" solutions.
 * The clock is injectable (``clock=``) so recovery windows are testable
   without sleeping.
 * A :class:`BreakerRegistry` holds one breaker per backend name behind
   one lock — the same registry object can be shared by every solve in a
   server process, which is what turns "this backend failed for client A"
-  into "client B never pays its timeout".
+  into "client B never pays for it".
 """
 
 from __future__ import annotations

@@ -181,7 +181,6 @@ def diagnose_infeasibility(
     max_rounds: int = 60,
     slack_tol: float = _SLACK_TOL,
     resilient: bool = False,
-    timeout: float | None = None,
 ) -> InfeasibilityDiagnosis:
     """Solve the elastic EBF and report the minimal per-sink relaxation.
 
@@ -210,7 +209,7 @@ def diagnose_infeasibility(
         if resilient:
             from repro.resilience.fallback import solve_lp_resilient
 
-            return solve_lp_resilient(model, timeout=timeout).result
+            return solve_lp_resilient(model).result
         return solve_lp(model, backend)
 
     n_edges = topo.num_nodes - 1

@@ -1,21 +1,22 @@
-"""Backend fallback chain: cascade, per-attempt timeouts, rescale retry.
+"""Backend fallback chain: a sequential cascade with rescale retry.
 
 One solver hiccup must not kill a routing run.  :func:`solve_lp_resilient`
-tries a configurable cascade of LP backends; each attempt is bounded by a
-wall-clock timeout, validated (an "optimal" result with NaN entries or an
-infeasible ``x`` counts as a failure, not a success), and recorded in a
+tries a configurable cascade of LP backends, one attempt at a time; each
+attempt is validated (an "optimal" result with NaN entries or an
+infeasible ``x`` counts as a failure, not a success) and recorded in a
 :class:`~repro.resilience.SolveReport`.  Numerical failures earn one
 same-backend retry on a rescaled copy of the model before falling through
 to the next backend.
 
-Timeouts are thread-based: a timed-out backend is abandoned, not killed
-(the stray thread finishes in the background and its result is dropped).
-Process-level isolation is future work — see ROADMAP.md.
+Every attempt runs inline on the caller's thread, so nothing is left
+running when the cascade returns.  The cascade has no clock of its own: a
+hard wall-clock bound comes from running the solve in a pool worker that
+is killed when it overruns (``solve_many(..., timeout=)``, ``lubt cts
+--timeout``, the server's ``--solve-timeout`` and request ``deadline``).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import time
 from typing import Callable, Mapping, Sequence
@@ -34,9 +35,9 @@ Backend = Callable[[LinearProgram], LpResult]
 #: Default cascade order; :func:`backend_chain` rotates the preferred
 #: backend to the front per model.  The ``tree`` backend rides last: it
 #: declines non-tree-stamped models instantly with
-#: :class:`BackendCapabilityError` (a clean fall-through that costs no
-#: timeout and never counts against its circuit breaker), and gives
-#: EBF-built models a structure-aware lane in the cascade and the race.
+#: :class:`BackendCapabilityError` (a clean fall-through that never
+#: counts against its circuit breaker), and gives EBF-built models a
+#: structure-aware last resort when the generic backends fail.
 DEFAULT_CHAIN = ("simplex", "scipy", "tree")
 
 _STATUS_TO_OUTCOME = {
@@ -117,20 +118,13 @@ def _unscale_result(raw: LpResult, s: float, lp: LinearProgram) -> LpResult:
     )
 
 
-def _breaker_skip(report: SolveReport, name: str) -> None:
-    report.attempts.append(SolveAttempt(
-        name, AttemptOutcome.SKIPPED, 0.0,
-        error="circuit breaker open — backend not attempted",
-    ))
-
-
 def _breaker_record(
     breakers: BreakerRegistry | None, name: str, outcome: str
 ) -> None:
     """Feed one attempt's verdict to the backend's breaker.
 
     Definitive answers close/heal; pipeline failures count against the
-    backend; CANCELLED/SKIPPED attempts never ran and count neither way.
+    backend; SKIPPED attempts never ran and count neither way.
     Capability errors are handled by the caller (they are permanent facts
     about model shape, not backend health — see ``solve_lp_resilient``).
     """
@@ -140,122 +134,6 @@ def _breaker_record(
         breakers.record(name, True)
     elif outcome in AttemptOutcome.BREAKER_FAILURES:
         breakers.record(name, False)
-
-
-def _race_backends(
-    lp: LinearProgram,
-    chain: Sequence[str],
-    solver_map: Mapping[str, Backend],
-    timeout: float | None,
-    feas_tol: float,
-    report: SolveReport,
-    breakers: BreakerRegistry | None = None,
-) -> LpResult | None:
-    """Run every chain backend on ``lp`` concurrently; first definitive
-    (optimal / infeasible / unbounded, post-validation) answer wins.
-
-    Losers are cancelled: like the fallback timeouts, cancellation is
-    thread-based — a running backend is abandoned and its eventual
-    result dropped, not killed.  Every backend becomes a
-    :class:`SolveAttempt`: the winner with its outcome, a loser with
-    its own failure outcome if it finished first, ``CANCELLED`` if it
-    was still running (or queued) when the winner crossed the line, or
-    ``TIMEOUT`` if the shared deadline expired with no winner.  Returns
-    the winning result, or ``None`` when no backend was definitive.
-
-    With ``breakers``, open-circuited backends are excluded from the
-    race up front (recorded as ``SKIPPED``), and every finished or
-    deadline-expired racer feeds its verdict back; a race with every
-    lane open-circuited returns ``None`` without spawning a thread.
-    """
-    if breakers is not None:
-        racers = []
-        for name in chain:
-            if breakers.allow(name):
-                racers.append(name)
-            else:
-                _breaker_skip(report, name)
-        chain = tuple(racers)
-        if not chain:
-            return None
-    order = {name: pos for pos, name in enumerate(chain)}
-    start = time.perf_counter()
-    deadline = None if timeout is None else start + timeout
-    executor = concurrent.futures.ThreadPoolExecutor(max_workers=len(chain))
-    winner: LpResult | None = None
-    try:
-        futures = {
-            executor.submit(solver_map[name], lp): name for name in chain
-        }
-        pending = set(futures)
-        while pending and winner is None:
-            wait_for = None
-            if deadline is not None:
-                wait_for = max(0.0, deadline - time.perf_counter())
-            done, pending = concurrent.futures.wait(
-                pending,
-                timeout=wait_for,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            if not done:
-                break  # shared deadline expired
-            elapsed = time.perf_counter() - start
-            # Completion batches are unordered sets; settle ties by chain
-            # position so the report (and a photo-finish winner) is
-            # deterministic given the same completion batch.
-            for fut in sorted(done, key=lambda f: order[futures[f]]):
-                name = futures[fut]
-                try:
-                    raw = fut.result()
-                except Exception as exc:  # resilience boundary
-                    report.attempts.append(SolveAttempt(
-                        name, AttemptOutcome.EXCEPTION, elapsed,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ))
-                    if not isinstance(exc, BackendCapabilityError):
-                        _breaker_record(
-                            breakers, name, AttemptOutcome.EXCEPTION
-                        )
-                    continue
-                outcome = _validated_outcome(lp, raw, feas_tol)
-                report.attempts.append(SolveAttempt(
-                    name, outcome, elapsed,
-                    error=raw.message
-                    if outcome is not AttemptOutcome.OPTIMAL
-                    else None,
-                    iterations=raw.iterations,
-                ))
-                _breaker_record(breakers, name, outcome)
-                if winner is None and outcome in AttemptOutcome.TERMINAL:
-                    winner = raw
-        elapsed = time.perf_counter() - start
-        for fut in sorted(pending, key=lambda f: order[futures[f]]):
-            fut.cancel()
-            name = futures[fut]
-            if winner is not None:
-                report.attempts.append(SolveAttempt(
-                    name, AttemptOutcome.CANCELLED, elapsed,
-                    error="lost the race — cancelled",
-                ))
-            else:
-                report.attempts.append(SolveAttempt(
-                    name, AttemptOutcome.TIMEOUT, elapsed,
-                    error=f"exceeded {timeout:g}s wall clock",
-                ))
-                _breaker_record(breakers, name, AttemptOutcome.TIMEOUT)
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    return winner
-
-
-def _call_with_timeout(fn: Backend, lp: LinearProgram, timeout: float | None):
-    if timeout is None:
-        return fn(lp)
-    executor = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-    try:
-        return executor.submit(fn, lp).result(timeout=timeout)
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
 
 
 def _validated_outcome(
@@ -285,15 +163,17 @@ def solve_lp_resilient(
     backends: Sequence[str] | None = None,
     *,
     solvers: Mapping[str, Backend] | None = None,
-    timeout: float | None = None,
     rescale_retry: bool | str = True,
     confirm_infeasible: bool = False,
     raise_on_failure: bool = True,
     feasibility_tol: float = 1e-6,
-    race: str | None = None,
     breakers: BreakerRegistry | None = None,
 ) -> SolveReport:
     """Solve ``lp`` through a backend cascade; never die on one backend.
+
+    Attempts run one after another on the caller's thread; a stalled
+    backend is waited out, not abandoned (see the module docstring for
+    where hard time bounds come from).
 
     Parameters
     ----------
@@ -303,8 +183,6 @@ def solve_lp_resilient(
     solvers:
         Overrides/extensions of :func:`default_solvers` — this is the
         seam the fault-injection harness uses.
-    timeout:
-        Per-attempt wall-clock limit in seconds (``None`` = unbounded).
     rescale_retry:
         On a numerical failure (``ERROR`` status, invalid "optimal"
         solution, or a backend exception other than
@@ -323,22 +201,12 @@ def solve_lp_resilient(
         Raise :class:`AllBackendsFailedError` (carrying the report) when
         no backend produced a definitive result; otherwise return the
         report with ``result=None``.
-    race:
-        ``None``/``"off"`` (default) runs the cascade sequentially.
-        ``"auto"`` races every chain backend *concurrently* on the same
-        LP and takes the first definitive (optimal/infeasible/unbounded)
-        validated answer, cancelling the losers — latency becomes the
-        *minimum* over backends instead of a sum over failures.  The
-        report records every backend, cancelled losers included.  Race
-        mode trades the sequential path's salvage machinery (rescale
-        retry, infeasibility second opinions) for latency; with a
-        single-backend chain it falls back to sequential.
     breakers:
         Optional :class:`~repro.resilience.breaker.BreakerRegistry`.
         When given, an open-circuited backend is skipped outright (a
-        ``SKIPPED`` attempt in the report — no timeout paid), every real
-        attempt feeds its verdict back to the backend's breaker, and the
-        registry's post-solve states are stamped on
+        ``SKIPPED`` attempt in the report — no failing call paid for),
+        every real attempt feeds its verdict back to the backend's
+        breaker, and the registry's post-solve states are stamped on
         ``report.breaker_states``.  :class:`BackendCapabilityError`
         attempts are *not* counted against a breaker: a capability gap
         is a permanent fact about the model's shape, not backend health.
@@ -347,8 +215,6 @@ def solve_lp_resilient(
     :class:`LpResult`.  Feasibility validation uses ``feasibility_tol``
     scaled by the model's rhs magnitude.
     """
-    if race not in (None, "off", "auto"):
-        raise ValueError(f"unknown race mode {race!r}")
     if rescale_retry not in (True, False, "auto"):
         raise ValueError(f"unknown rescale_retry mode {rescale_retry!r}")
 
@@ -378,27 +244,16 @@ def solve_lp_resilient(
     )
     feas_tol = feasibility_tol * (1.0 + rhs_mag)
 
-    if race == "auto" and len(chain) >= 2:
-        report = SolveReport()
-        winner = _race_backends(
-            lp, chain, solver_map, timeout, feas_tol, report, breakers
-        )
-        if breakers is not None:
-            report.breaker_states = breakers.states()
-        if winner is not None:
-            report.result = winner
-            return report
-        if raise_on_failure:
-            raise AllBackendsFailedError(report)
-        return report
-
     report = SolveReport()
     scaled_pair: tuple[LinearProgram, float] | None = None
     pending_infeasible: LpResult | None = None
 
     for pos, name in enumerate(chain):
         if breakers is not None and not breakers.allow(name):
-            _breaker_skip(report, name)
+            report.attempts.append(SolveAttempt(
+                name, AttemptOutcome.SKIPPED, 0.0,
+                error="circuit breaker open — backend not attempted",
+            ))
             continue
         rescaled = False
         while True:
@@ -410,15 +265,7 @@ def solve_lp_resilient(
                 model, s = lp, 1.0
             start = time.perf_counter()
             try:
-                raw = _call_with_timeout(solver_map[name], model, timeout)
-            except concurrent.futures.TimeoutError:
-                report.attempts.append(SolveAttempt(
-                    name, AttemptOutcome.TIMEOUT,
-                    time.perf_counter() - start, rescaled,
-                    error=f"exceeded {timeout:g}s wall clock",
-                ))
-                _breaker_record(breakers, name, AttemptOutcome.TIMEOUT)
-                break  # more time, not rescaling, is what a timeout needs
+                raw = solver_map[name](model)
             except BackendCapabilityError as exc:
                 report.attempts.append(SolveAttempt(
                     name, AttemptOutcome.EXCEPTION,

@@ -2,7 +2,7 @@
 
 Production retry/fallback logic that is never exercised is broken logic
 waiting to be discovered.  This module wraps any LP backend callable so
-CI can make the first backend raise, hang, return NaN, or lie about its
+CI can make the first backend raise, stall, return NaN, or lie about its
 status — deterministically, with no randomness and no monkeypatching —
 and assert that :func:`~repro.resilience.solve_lp_resilient` still
 produces the right answer via the fallback chain.
@@ -45,9 +45,9 @@ class ExceptionFault:
 
 @dataclass(frozen=True)
 class TimeoutFault:
-    """The backend stalls for ``seconds`` before delegating; pair with a
-    per-attempt ``timeout`` below ``seconds`` to exercise the timeout
-    path."""
+    """The backend stalls for ``seconds`` before delegating — a slow
+    solve.  The cascade waits it out on the caller's thread; only a pool
+    worker's kill-on-timeout cuts such a stall short."""
 
     seconds: float = 0.2
 

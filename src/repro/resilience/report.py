@@ -1,7 +1,7 @@
 """Structured records of what the resilient solve pipeline actually did.
 
-Every backend invocation — including ones that crashed, timed out, or
-returned garbage — becomes one :class:`SolveAttempt`; the whole cascade
+Every backend invocation — including ones that crashed or returned
+garbage — becomes one :class:`SolveAttempt`; the whole cascade
 becomes a :class:`SolveReport`.  These are plain data so they can be
 logged, asserted on in CI, or rendered in the CLI without re-running
 anything.
@@ -27,9 +27,7 @@ class AttemptOutcome:
     UNBOUNDED = "unbounded"
     ERROR = "error"  # backend returned LpStatus.ERROR
     EXCEPTION = "exception"  # backend raised
-    TIMEOUT = "timeout"  # per-attempt wall clock exceeded
     INVALID = "invalid-solution"  # "optimal" with NaN/infeasible x
-    CANCELLED = "cancelled"  # lost a backend race; result discarded
     SKIPPED = "skipped"  # circuit breaker open; backend never invoked
 
     #: Outcomes that settle the model's fate — no further attempts needed.
@@ -38,9 +36,8 @@ class AttemptOutcome:
     NUMERICAL = frozenset({ERROR, INVALID})
     #: Outcomes a circuit breaker counts against the backend.  Definitive
     #: answers prove the backend works (the model's feasibility is not its
-    #: fault); CANCELLED/SKIPPED attempts never ran, so they count neither
-    #: way.
-    BREAKER_FAILURES = frozenset({ERROR, EXCEPTION, TIMEOUT, INVALID})
+    #: fault); SKIPPED attempts never ran, so they count neither way.
+    BREAKER_FAILURES = frozenset({ERROR, EXCEPTION, INVALID})
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,7 @@ ALLOWED_OPTIONS = frozenset(
         "check_bounds",
         "validate",
         "resilient",
-        "lp_timeout",
         "on_infeasible",
-        "race",
     }
 )
 
@@ -149,8 +147,7 @@ def _solve_job(
         topo.num_sinks,
         backend=options.get("backend", "auto"),
         mode=options.get("mode", "lazy"),
-        resilient=bool(options.get("resilient"))
-        or options.get("race") == "auto",
+        resilient=bool(options.get("resilient")),
     )
     ws = None if direct else WarmStart.seeded(topo_key, carried_pairs)
     sol = solve_lubt(
@@ -228,7 +225,6 @@ class SolveServer:
         jobs: int = 1,
         cache_size: int = 256,
         solve_timeout: float | None = None,
-        start_method: str | None = None,
         max_inflight: int | None = None,
         queue_limit: int = 32,
         max_line_bytes: int = MAX_LINE_BYTES,
@@ -261,7 +257,6 @@ class SolveServer:
         #: Shared circuit breakers for inline solves; pool workers keep
         #: their own process-wide registries (see ``_solve_job``).
         self.breakers = BreakerRegistry()
-        self._start_method = start_method
         self.requests = 0
         self.solves = 0
         self.errors = 0
@@ -300,9 +295,8 @@ class SolveServer:
             # Forking the resident workers blocks on per-worker pipe
             # handshakes; keep it off the event loop so a concurrently
             # started server never stalls accepts (CC001).
-            jobs, start_method = self.jobs, self._start_method
             self.pool = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: WorkerPool(jobs, start_method=start_method)
+                None, WorkerPool, self.jobs
             )
         self._slots = asyncio.Semaphore(self.max_inflight)
         if self.stall_threshold is not None and self._stall is None:

@@ -211,19 +211,6 @@ class TestSolveIntegration:
         assert report.attempts[0].backend == "simplex"
         assert reg.states()["simplex"] == "closed"
 
-    def test_race_path_filters_open_backends(self):
-        reg = BreakerRegistry(failure_threshold=1, clock=FakeClock())
-        reg.record("simplex", False)
-        lp = _lp()
-        report = solve_lp_resilient(
-            lp, backend_chain(lp), race="auto", breakers=reg
-        )
-        assert report.result.is_optimal
-        assert report.result.backend != "simplex"
-        skipped = {a.backend for a in report.attempts
-                   if a.outcome == AttemptOutcome.SKIPPED}
-        assert "simplex" in skipped
-
     def test_solve_lubt_stamps_breaker_states(self):
         topo, bounds = small_instance()
         reg = BreakerRegistry(failure_threshold=2, clock=FakeClock())

@@ -302,11 +302,16 @@ class TestSolveServer:
         assert second["cache_hits"] == 2
         assert all(p["cache_hit"] for p in points)
 
-    def test_bad_option_is_refused(self, server):
+    @pytest.mark.parametrize(
+        "option",
+        [{"explode": True}, {"race": "auto"}, {"lp_timeout": 5.0}],
+        ids=["explode", "race", "lp_timeout"],
+    )
+    def test_bad_option_is_refused(self, server, option):
         topo, bounds, _ = instance(6)
         with ServerClient(port=server.port) as c:
             with pytest.raises(ServerError, match="unknown solve option"):
-                c.solve(topo, bounds, explode=True)
+                c.solve(topo, bounds, **option)
             # the connection survives the error
             assert c.ping()["event"] == "pong"
 

@@ -31,7 +31,7 @@ class SlowClosePool:
 class SlowStartPool:
     """WorkerPool stand-in whose constructor blocks like real forks."""
 
-    def __init__(self, jobs, start_method=None):
+    def __init__(self, jobs):
         time.sleep(BLOCK_SECONDS)
         self.jobs = jobs
 

@@ -1,14 +1,11 @@
-"""Warm-started sweeps, canonical costs, sharding, and backend racing.
+"""Warm-started sweeps, canonical costs, and sharding.
 
 The sweep-engine contract: warm-starting only re-seeds *valid* Steiner
 rows, so converged optima are unchanged — warm and cold sweeps must
-report bit-identical :func:`canonical_cost` values — and racing backends
-must return the same answer the sequential cascade would, recording
-every contender (cancelled losers included).
+report bit-identical :func:`canonical_cost` values.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -20,19 +17,11 @@ from repro.ebf import (
     DelayBounds,
     WarmStart,
     canonical_cost,
-    solve_lubt,
     solve_sweep,
 )
 from repro.ebf.bounds import radius_of
 from repro.geometry import Point, manhattan_radius_from
-from repro.lp import LinearProgram, LpStatus, Sense
 from repro.perf import solve_sweep_sharded, sweep_chunks
-from repro.resilience import (
-    AllBackendsFailedError,
-    AttemptOutcome,
-    default_solvers,
-    solve_lp_resilient,
-)
 from repro.topology import nearest_neighbor_topology
 
 
@@ -201,113 +190,3 @@ class TestSharding:
         want = [canonical_cost(s.cost) for s in serial]
         assert [canonical_cost(s.cost) for s in inline] == want
         assert [canonical_cost(s.cost) for s in chunked] == want
-
-
-def small_lp() -> LinearProgram:
-    """min x + y  s.t.  x + y >= 2, y <= 5  -> optimum 2."""
-    lp = LinearProgram()
-    x = lp.add_variable("x", cost=1.0)
-    y = lp.add_variable("y", cost=1.0, ub=5.0)
-    lp.add_constraint({x: 1.0, y: 1.0}, Sense.GE, 2.0)
-    return lp
-
-
-def infeasible_lp() -> LinearProgram:
-    lp = LinearProgram()
-    x = lp.add_variable("x", cost=1.0)
-    lp.add_constraint({x: 1.0}, Sense.GE, 2.0)
-    lp.add_constraint({x: 1.0}, Sense.LE, 1.0)
-    return lp
-
-
-def slow_backend(delay=0.5):
-    inner = default_solvers()["simplex"]
-
-    def solve(lp):
-        time.sleep(delay)
-        return inner(lp)
-
-    return solve
-
-
-def boom_backend(lp):
-    raise RuntimeError("injected race crash")
-
-
-class TestRacing:
-    def test_loser_is_cancelled(self):
-        report = solve_lp_resilient(
-            small_lp(),
-            backends=("slow", "simplex"),
-            solvers={"slow": slow_backend()},
-            race="auto",
-        )
-        assert report.succeeded
-        assert report.result.objective == pytest.approx(2.0)
-        by_backend = {a.backend: a.outcome for a in report.attempts}
-        assert by_backend["simplex"] == AttemptOutcome.OPTIMAL
-        assert by_backend["slow"] == AttemptOutcome.CANCELLED
-
-    def test_infeasible_is_definitive_in_race(self):
-        report = solve_lp_resilient(infeasible_lp(), race="auto")
-        assert report.succeeded
-        assert report.result.status is LpStatus.INFEASIBLE
-
-    def test_single_backend_chain_falls_back_to_sequential(self):
-        report = solve_lp_resilient(
-            small_lp(), backends=("simplex",), race="auto"
-        )
-        assert report.succeeded
-        assert [a.backend for a in report.attempts] == ["simplex"]
-        assert all(
-            a.outcome != AttemptOutcome.CANCELLED for a in report.attempts
-        )
-
-    def test_all_contenders_crash(self):
-        with pytest.raises(AllBackendsFailedError):
-            solve_lp_resilient(
-                small_lp(),
-                backends=("boom1", "boom2"),
-                solvers={"boom1": boom_backend, "boom2": boom_backend},
-                race="auto",
-            )
-        report = solve_lp_resilient(
-            small_lp(),
-            backends=("boom1", "boom2"),
-            solvers={"boom1": boom_backend, "boom2": boom_backend},
-            race="auto",
-            raise_on_failure=False,
-        )
-        assert report.result is None
-        assert {a.outcome for a in report.attempts} == {
-            AttemptOutcome.EXCEPTION
-        }
-
-    def test_deadline_with_no_winner(self):
-        report = solve_lp_resilient(
-            small_lp(),
-            backends=("slow1", "slow2"),
-            solvers={"slow1": slow_backend(), "slow2": slow_backend()},
-            race="auto",
-            timeout=0.05,
-            raise_on_failure=False,
-        )
-        assert report.result is None
-        assert {a.outcome for a in report.attempts} == {AttemptOutcome.TIMEOUT}
-
-    def test_invalid_race_mode_rejected(self):
-        with pytest.raises(ValueError):
-            solve_lp_resilient(small_lp(), race="always")
-        topo, bounds_list = sweep_instance(8)
-        with pytest.raises(ValueError):
-            solve_lubt(topo, bounds_list[0], race="bogus")
-
-    def test_raced_lubt_matches_sequential(self):
-        topo, bounds_list = sweep_instance(16)
-        bounds = bounds_list[0]
-        seq = solve_lubt(topo, bounds, check_bounds=False)
-        raced = solve_lubt(topo, bounds, check_bounds=False, race="auto")
-        assert canonical_cost(raced.cost) == canonical_cost(seq.cost)
-        assert raced.solve_reports  # race implies resilient reporting
-        for rep in raced.solve_reports:
-            assert len(rep.attempts) >= 2  # both contenders recorded

@@ -287,13 +287,6 @@ class TestResilienceIntegration:
         ref = solve_lubt(topo, bounds, backend="scipy")
         assert canonical_cost(report.result.objective) == canonical_cost(ref.cost)
 
-    def test_race_auto_includes_tree(self):
-        topo = random_topo(10, 6)
-        lp = build_ebf_lp(topo, DelayBounds.normalized(topo, 0.8, 1.3))
-        report = solve_lp_resilient(lp, race="auto")
-        assert report.result is not None
-        assert "tree" in report.backends_tried
-
 
 class TestAutoDispatch:
     """``backend="auto"`` takes the direct tree path from
