@@ -4,13 +4,14 @@
 fixed choice rather than an option.  This measures that choice against
 HiGHS's default (``method="highs"``: dual simplex, steepest edge) and
 Devex pricing.  For each sink count and topology (H-tree and
-nearest-neighbour merge) it captures the exact ``linprog`` call
-``solve_tree`` makes on one synth instance (seed 1996, window
-[0.8, 1.2] x radius), re-solves that model with each strategy in
-interleaved rounds (rotating which goes first), and records the median
-``linprog`` wall and the iteration count of each, and the objectives'
-largest relative spread.  Output: ``benchmarks/out/pricing.txt`` and
-``pricing.json``.
+nearest-neighbour merge) it assembles the collapsed model ``solve_tree``
+hands HiGHS on one synth instance (seed 1996, window [0.8, 1.2] x
+radius; :func:`repro.lp.treesolve.collapsed_tree_lp`), solves it with
+``linprog`` under each strategy in interleaved rounds (rotating which
+goes first), and records the median ``linprog`` wall and the iteration
+count of each, and the objectives' largest relative spread.  With
+``dantzig`` this is the solve ``solve_tree`` runs, bit for bit.
+Output: ``benchmarks/out/pricing.txt`` and ``pricing.json``.
 
     cd benchmarks && PYTHONPATH=../src python -m pytest bench_pricing.py -s
 """
@@ -19,13 +20,14 @@ import os
 import statistics
 import time
 
+import numpy as np
 from conftest import save_output
 from scipy.optimize import linprog
 
-import repro.lp.treesolve as treesolve
 from repro.analysis import Table
 from repro.data import synth_instance
-from repro.ebf import solve_lubt
+from repro.ebf.formulation import build_tree_lp
+from repro.lp.treesolve import collapsed_tree_lp
 
 STRATEGIES = {
     "steepest": {"method": "highs"},
@@ -47,21 +49,15 @@ def _rounds(sinks):
 
 
 def _tree_lp(topo, bounds):
-    """The ``(c, A_ub, b_ub, bounds)`` arguments ``solve_tree`` passes to
-    ``linprog`` for this instance."""
-    seen = {}
-    real = treesolve.linprog
-
-    def capture(c, **kw):
-        seen.update(c=c, A_ub=kw["A_ub"], b_ub=kw["b_ub"], bounds=kw["bounds"])
-        return real(c, **kw)
-
-    treesolve.linprog = capture
-    try:
-        solve_lubt(topo, bounds, backend="tree", check_bounds=False)
-    finally:
-        treesolve.linprog = real
-    return seen
+    """The collapsed model ``solve_tree`` solves for this instance, as
+    ``linprog``'s ``(c, A_ub, b_ub, bounds)`` arguments."""
+    model = collapsed_tree_lp(build_tree_lp(topo, bounds))
+    return {
+        "c": model.c,
+        "A_ub": model.a_ub,
+        "b_ub": model.b_ub,
+        "bounds": np.column_stack([model.lb, model.ub]),
+    }
 
 
 def test_pricing():
@@ -108,9 +104,9 @@ def test_pricing():
         t.render(),
         data={
             "protocol": "synth_instance(sinks, 1996, topology=...), window "
-            "[0.8, 1.2] x radius; the linprog call solve_tree makes, "
-            "re-solved per strategy in interleaved rounds (7 up to 128 "
-            "sinks, else 3); median wall seconds",
+            "[0.8, 1.2] x radius; the collapsed model solve_tree solves, "
+            "solved by linprog per strategy in interleaved rounds (7 up to "
+            "128 sinks, else 3); median wall seconds",
             "nproc": os.cpu_count(),
             "strategies": STRATEGIES,
             "rows": rows,

@@ -13,6 +13,11 @@ contract end to end (see docs/SERVER.md):
   ``warm_rows > 0`` on its very first point (the cross-request
   WarmStart store did its job).  Warm rows only come from and feed the
   lazy loop, so both clients send ``backend="scipy"``;
+* **cross-client basis gate** — on the default path (``auto``, the
+  tree LP at this size) a second connection's new window on a topology
+  another client already solved must re-solve from the stored basis in
+  at most a fifth of the first solve's ``lp_iterations``, and
+  ``stats`` must count a stored basis;
 * **correctness anchor** — every served cost must match an in-process
   ``solve_lubt`` to :func:`canonical_cost` bits.
 
@@ -45,6 +50,10 @@ SWEEP_LOWERS = (0.55, 0.7, 0.85)
 #: Request options of both clients: the lazy loop, which fills and reads
 #: the warm store (the default path at this size solves without it).
 LAZY = {"backend": "scipy"}
+#: The basis gate's new window (x radius; the first solve uses
+#: [0.8, 1.2]) and the least cold/warm LP-iteration ratio it must reach.
+BASIS_WINDOW = (0.6, 1.1)
+BASIS_FACTOR = 5
 
 
 def _instance(size=SINKS):
@@ -129,6 +138,37 @@ def run_bench(repeat_factor: float, repeats: int) -> tuple[dict, list[str]]:
             f"store total {stats['warm']['total_rows']}"
         )
 
+        # --- cross-client basis gate (default path, new window) ---------
+        with ServerClient(port=handle.port) as a:
+            cold = a.solve(topo, bounds)
+        window = DelayBounds.uniform(m, BASIS_WINDOW[0] * radius,
+                                     BASIS_WINDOW[1] * radius)
+        with ServerClient(port=handle.port) as b:
+            warm = b.solve(topo, window)
+            stats = b.stats()
+        cold_iters = cold["result"]["stats"]["lp_iterations"]
+        warm_iters = warm["result"]["stats"]["lp_iterations"]
+        if warm_iters * BASIS_FACTOR > cold_iters:
+            failures.append(
+                f"new window took {warm_iters} LP iterations, more than "
+                f"1/{BASIS_FACTOR} of the first solve's {cold_iters}"
+            )
+        if stats["warm"].get("bases", 0) < 1:
+            failures.append("warm store holds no basis after a tree solve")
+        inline = solve_lubt(topo, window)
+        if canonical_cost(warm["result"]["cost"]) != canonical_cost(
+            inline.cost
+        ):
+            failures.append(
+                f"warm-started cost {warm['result']['cost']!r} != "
+                f"in-process {inline.cost!r} (canonical)"
+            )
+        print(
+            f"cross-client basis: first solve {cold_iters} LP iterations, "
+            f"new window {warm_iters}, stored bases "
+            f"{stats['warm'].get('bases', 0)}"
+        )
+
     data = {
         "protocol": (
             f"prim2[{SINKS}], window [0.8, 1.2] x radius, inline server, "
@@ -145,6 +185,9 @@ def run_bench(repeat_factor: float, repeats: int) -> tuple[dict, list[str]]:
         "sweep_seconds": sweep_seconds,
         "first_point_warm_rows": points[0]["warm_rows"] if points else 0,
         "warm_rows_total": done["warm_rows_total"],
+        "basis_window": list(BASIS_WINDOW),
+        "basis_cold_iterations": cold_iters,
+        "basis_warm_iterations": warm_iters,
         "canonical_cost": canonical_cost(first["result"]["cost"]),
     }
     return data, failures

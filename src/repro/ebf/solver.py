@@ -183,7 +183,8 @@ def solve_lubt(
         solve on ``"tree"`` takes the direct path: one tree LP on a
         row-less stamped model, no seed rows, no loop, no warm rows
         (``rounds == 1``, ``steiner_rows == 0``), the exact
-        post-validation kept.  ``"auto"`` means ``"tree"`` there from
+        post-validation kept; with a ``warm`` store it starts from the
+        store's basis.  ``"auto"`` means ``"tree"`` there from
         :data:`TREE_MIN_SINKS` sinks up when ``warm`` is ``None``;
         otherwise — below the constant, with a warm store, in full or
         resilient mode — it is a size-based simplex/scipy choice
@@ -230,9 +231,17 @@ def solve_lubt(
         bounds: Steiner rows depend only on the topology, never on the
         delay bounds, so a carried row is always a valid (if possibly
         slack) constraint.  Passing one keeps ``backend="auto"`` on the
-        lazy loop at any size.  Ignored in full mode (all rows are
-        present anyway) and on ``backend="tree"`` (its direct path has
-        no rows to seed).
+        lazy loop at any size.  On the direct tree path
+        (``backend="tree"``) it carries the collapsed LP's last optimal
+        basis instead of rows: the delay windows are column bounds of
+        that LP, so the basis stays dual feasible under any new window
+        and dual simplex re-solves in a few pivots; the solve then
+        leaves its own final basis behind.  A basis that does not fit
+        the model is ignored, and one that fits is only a starting
+        point: the pre-check and the exact post-checks run as on a cold
+        solve, whose answer a warm one matches under
+        :func:`~repro.ebf.sweep.canonical_cost`.  Ignored in full mode
+        (all rows are present anyway).
     breakers:
         A :class:`~repro.resilience.BreakerRegistry` shared across
         solves (resilient mode only).  Backends whose circuit is open
@@ -320,6 +329,12 @@ def solve_lubt(
                 lp = build_tree_lp(
                     topo, bounds, weights=weights, zero_edges=zero_edges
                 )
+                if warm is not None:
+                    # Windows are column bounds of the tree LP, so the
+                    # last optimal basis on this topology stays dual
+                    # feasible: dual simplex restarts from it.
+                    lp.tree_meta.basis = warm.basis_for(topo)
+                    lp.tree_meta.return_basis = True
             else:
                 pairs = list(all_sink_pairs(topo))
                 lp = build_ebf_lp(
@@ -330,6 +345,8 @@ def solve_lubt(
                 _check_built_lp(lp)
             result = _solve(lp, "tree" if direct_tree else backend)
             result = result.require_optimal()
+            if direct_tree and warm is not None:
+                warm.absorb(topo, (), result.basis)
             e = expand_edge_vector(topo, result.x)
             rounds, iters = 1, result.iterations
         else:

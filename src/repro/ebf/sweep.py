@@ -19,6 +19,11 @@ i.e. the raw cost float can wiggle at the last few ulps.
 precision, four orders finer than the solver's 1e-6 feasibility
 tolerances); sweep-level consumers report canonical costs so warm and
 cold sweeps are bit-identical.  See docs/PERFORMANCE.md.
+
+The direct tree path (``backend="tree"``) has no rows to carry; there
+:class:`WarmStart` holds the collapsed tree LP's last optimal basis
+instead, from which HiGHS's dual simplex re-solves a new window in a
+few pivots (see :mod:`repro.lp.treesolve`).
 """
 
 from __future__ import annotations
@@ -62,17 +67,18 @@ class WarmStart:
 
     Holds the orientation-normalized active Steiner pair set — every
     ``(i, j, lca)`` row the lazy loop discovered beyond its per-solve
-    seeds — in discovery order, so re-seeding is deterministic.  The
-    state is keyed to the topology by **structural hash**
+    seeds — in discovery order, so re-seeding is deterministic; and,
+    for the direct tree path, the collapsed tree LP's last optimal
+    basis.  The state is keyed to the topology by **structural hash**
     (:func:`repro.topology.topology_hash`): handing the object a
-    structurally different topology resets it (rows are meaningless
-    across topologies), which makes one ``WarmStart`` safe to thread
-    through heterogeneous drivers like the Table 1 suite — while two
-    *distinct but identical* topology objects (one per client request,
-    one per worker process) share their rows, the property the
-    :mod:`repro.server` cross-request warm store is built on.  An
+    structurally different topology resets it (rows and bases are
+    meaningless across topologies), which makes one ``WarmStart`` safe
+    to thread through heterogeneous drivers like the Table 1 suite —
+    while two *distinct but identical* topology objects (one per client
+    request, one per worker process) share their state, the property
+    the :mod:`repro.server` cross-request warm store is built on.  An
     identity fast path keeps the common same-object sweep free of
-    re-hashing.
+    re-hashing.  It holds no solver object, so it pickles.
     """
 
     #: Structural hash the carried rows belong to.
@@ -82,16 +88,23 @@ class WarmStart:
     #: Carried ``(i, j, lca)`` rows in first-discovery order.
     pairs: list[tuple[int, int, int]] = field(default_factory=list)
     _seen: set[tuple[int, int]] = field(default_factory=set, repr=False)
+    #: Last optimal ``(col_status, row_status)`` basis of the collapsed
+    #: tree LP (:mod:`repro.lp.treesolve`), or None.
+    basis: tuple | None = field(default=None, repr=False)
     #: Solves that absorbed into this object (diagnostics only).
     solves: int = 0
 
     @classmethod
     def seeded(
-        cls, key: str, pairs: Iterable[tuple[int, int, int]]
+        cls,
+        key: str,
+        pairs: Iterable[tuple[int, int, int]],
+        basis: tuple | None = None,
     ) -> "WarmStart":
-        """Build a carry-over pre-loaded with rows known valid for the
-        topology whose structural hash is ``key`` (server warm store)."""
-        ws = cls(key=key)
+        """Build a carry-over pre-loaded with rows (and a basis) known
+        valid for the topology whose structural hash is ``key`` (server
+        warm store)."""
+        ws = cls(key=key, basis=basis)
         for i, j, k in pairs:
             nk = (i, j) if i < j else (j, i)
             if nk not in ws._seen:
@@ -109,6 +122,7 @@ class WarmStart:
             self.key = h
             self.pairs = []
             self._seen = set()
+            self.basis = None
         self.topology = topo
 
     def pairs_for(self, topo) -> list[tuple[int, int, int]]:
@@ -116,14 +130,27 @@ class WarmStart:
         self._rekey(topo)
         return self.pairs
 
-    def absorb(self, topo, new_pairs: Iterable[tuple[int, int, int]]) -> None:
-        """Merge rows a solve discovered; duplicates are dropped."""
+    def basis_for(self, topo) -> tuple | None:
+        """The carried basis for ``topo`` (None after a reset)."""
+        self._rekey(topo)
+        return self.basis
+
+    def absorb(
+        self,
+        topo,
+        new_pairs: Iterable[tuple[int, int, int]],
+        basis: tuple | None = None,
+    ) -> None:
+        """Merge rows a solve discovered (duplicates are dropped) and
+        keep its final basis, if it has one."""
         self._rekey(topo)
         for i, j, k in new_pairs:
             key = (i, j) if i < j else (j, i)
             if key not in self._seen:
                 self._seen.add(key)
                 self.pairs.append((i, j, k))
+        if basis is not None:
+            self.basis = basis
         self.solves += 1
 
 

@@ -59,6 +59,11 @@ class LpResult:
     ``message`` carries the backend's own termination text (HiGHS status
     message, simplex limit note) so non-optimal outcomes stay explicable
     downstream.
+
+    ``basis`` is the final ``(col_status, row_status)`` basis of the
+    tree backend's collapsed model when the model asked for it
+    (:attr:`repro.lp.TreeLpMeta.return_basis`); ``None`` otherwise and
+    for every other backend.
     """
 
     status: LpStatus
@@ -68,6 +73,7 @@ class LpResult:
     backend: str
     duals: np.ndarray | None = None
     message: str | None = None
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def is_optimal(self) -> bool:

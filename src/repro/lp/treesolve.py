@@ -36,6 +36,17 @@ pair count, and one HiGHS solve on it replaces the whole lazy cutting
 plane loop — at 1024 sinks that is ~28x faster than the generic path
 (see docs/PERFORMANCE.md).
 
+**Warm start.**  The delay windows are column bounds of the collapsed
+model and nothing else depends on them, so an optimal basis of one
+window stays dual feasible for every other window on the same topology:
+dual simplex restarts from it in a handful of pivots.  The model goes to
+HiGHS through its own model and basis interface (the binding scipy ships
+as ``scipy.optimize._highspy``, with the options ``linprog(method=
+"highs-ds")`` passes, so cold answers equal ``linprog``'s bit for bit).
+A start basis rides in on :attr:`TreeLpMeta.basis`, the final one comes
+back on :attr:`LpResult.basis` when :attr:`TreeLpMeta.return_basis` asks
+for it, and each solve builds and drops its own HiGHS object.
+
 The backend consumes a :class:`~repro.lp.LinearProgram` like any other,
 but needs the tree facts the flat rows no longer expose.
 :func:`repro.ebf.build_ebf_lp` stamps them on the model as a
@@ -51,27 +62,64 @@ route through ``diagnose_infeasibility`` exactly as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
+import scipy.optimize._highspy._core as _highs
 from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.lp.model import _RANGE_COLLAPSE_RTOL, LinearProgram
-from repro.lp.result import BackendCapabilityError, LpResult, LpStatus
+from repro.lp.result import (
+    BackendCapabilityError,
+    InfeasibleError,
+    LpResult,
+    LpStatus,
+)
 
 #: Mirror of ``add_delay_rows``: a sink window inverted by more than this
 #: produces an infeasibility certificate (the generic builder emits a
 #: ``delay{i}.impossible`` row; we return INFEASIBLE directly).
 _IMPOSSIBLE_TOL = 1e-12
 
+#: HiGHS model status -> ours, as ``linprog`` maps them; anything else
+#: (limits, ``kUnboundedOrInfeasible``, solver errors) is an ERROR.
 _STATUS_MAP = {
-    0: LpStatus.OPTIMAL,
-    1: LpStatus.ERROR,  # iteration limit
-    2: LpStatus.INFEASIBLE,
-    3: LpStatus.UNBOUNDED,
-    4: LpStatus.ERROR,
+    _highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
+    _highs.HighsModelStatus.kModelError: LpStatus.INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED,
 }
+
+#: The options ``linprog(method="highs-ds", options={
+#: "simplex_dual_edge_weight_strategy": "dantzig"})`` sets.  Dual simplex
+#: with Dantzig pricing is a fixed measured choice: on these models it
+#: takes ~12 % more pivots than HiGHS's default steepest edge, but each
+#: is cheaper.  LP time ties up to 128 sinks and falls 1.0-1.25x at
+#: 512-1024 sinks, 1.45-1.64x at 2048-4096 (docs/PERFORMANCE.md,
+#: "Pricing").
+_OPTIONS = (
+    ("presolve", "on"),
+    ("solver", "simplex"),
+    ("simplex_strategy", 1),  # dual
+    ("simplex_dual_edge_weight_strategy", 0),  # Dantzig
+    ("output_flag", False),
+)
+
+#: ``HighsBasisStatus`` codes, as the int8 entries of a basis.
+_LOWER, _BASIC, _UPPER, _ZERO = (
+    int(_highs.HighsBasisStatus.kLower),
+    int(_highs.HighsBasisStatus.kBasic),
+    int(_highs.HighsBasisStatus.kUpper),
+    int(_highs.HighsBasisStatus.kZero),
+)
+_STATUS_CODES = sorted(
+    _highs.HighsBasisStatus.__members__.values(), key=int
+)
+
+#: An LP basis: ``(col_status, row_status)`` int8 arrays of
+#: ``HighsBasisStatus`` codes.
+Basis = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -102,6 +150,25 @@ class TreeLpMeta:
     #: Per-edge objective weights by node id (entry 0 ignored), or None.
     weights: np.ndarray | None = None
     covered_rows: int = 0
+    #: Start basis of the collapsed model (e.g. the last optimal one on
+    #: this topology), or None.  One whose shape does not fit is ignored.
+    basis: Basis | None = field(default=None, repr=False, compare=False)
+    #: Put the final basis on ``LpResult.basis`` (only warm-store solves
+    #: pay for its export).
+    return_basis: bool = False
+
+
+@dataclass(frozen=True)
+class CollapsedLp:
+    """The collapsed model ``min c @ x`` s.t. ``a_ub @ x <= b_ub``,
+    ``lb <= x <= ub``.  Its first ``n - 1`` columns are the node delays
+    ``d_1 .. d_{n-1}``; the rest are the min-chain auxiliaries."""
+
+    c: np.ndarray
+    a_ub: sparse.csc_array
+    b_ub: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
 
 
 def _infeasible(message: str) -> LpResult:
@@ -133,16 +200,15 @@ def _bfs_order(parents: np.ndarray) -> np.ndarray:
     return order
 
 
-def solve_tree(lp: LinearProgram) -> LpResult:
-    """Solve a tree-stamped EBF model via the collapsed node-potential LP.
+def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
+    """Assemble the collapsed node-potential LP of a tree-stamped model.
 
     Raises :class:`BackendCapabilityError` for models without (current)
-    tree metadata; returns an :class:`LpResult` in the *original* edge
-    variable space, with the HiGHS iteration count of the collapsed LP.
-    Only the stamp and the variable box are read, so a row-less
+    tree metadata and :class:`InfeasibleError` when a delay window or a
+    pinned edge leaves some node an empty range.  Only the stamp and the
+    variable box are read, so a row-less
     :func:`repro.ebf.formulation.build_tree_lp` model gives the same
-    answer as a full one.  Row duals are not produced (the collapsed
-    model's rows do not map 1:1 onto the flat model's).
+    model as a full one.
     """
     meta = lp.tree_meta
     if meta is None:
@@ -170,7 +236,7 @@ def solve_tree(lp: LinearProgram) -> LpResult:
     impossible = lo > hi + _IMPOSSIBLE_TOL
     if bool(np.any(impossible)):
         k = int(np.argmax(impossible)) + 1
-        return _infeasible(
+        raise InfeasibleError(
             f"delay window for sink {k} is empty "
             f"([{lo[k - 1]:g}, {hi[k - 1]:g}])"
         )
@@ -199,7 +265,7 @@ def solve_tree(lp: LinearProgram) -> LpResult:
             ub[v - 1] = min(ub[v - 1], 0.0)
     if bool(np.any(lb > ub)):
         j = int(np.argmax(lb > ub)) + 1
-        return _infeasible(
+        raise InfeasibleError(
             f"node {j}: pinned/strengthened bounds force an empty delay "
             f"window [{lb[j - 1]:g}, {ub[j - 1]:g}]"
         )
@@ -323,48 +389,136 @@ def solve_tree(lp: LinearProgram) -> LpResult:
             blk_b.append(np.zeros(2))
             nrows += 2
 
-    a_ub = None
-    b_ub = None
-    if nrows:
-        a_ub = sparse.csr_matrix(
-            (
-                np.concatenate(blk_v),
-                (np.concatenate(blk_i), np.concatenate(blk_j)),
-            ),
-            shape=(nrows, nvar),
-        )
-        b_ub = np.concatenate(blk_b)
-
-    var_bounds = np.column_stack(
-        [
-            np.concatenate([lb, np.full(num_aux, -np.inf)]),
-            np.concatenate([ub, np.full(num_aux, np.inf)]),
-        ]
-    )
+    rows = np.concatenate(blk_i) if blk_i else np.empty(0, dtype=np.int64)
+    cols = np.concatenate(blk_j) if blk_j else np.empty(0, dtype=np.int64)
+    vals = np.concatenate(blk_v) if blk_v else np.empty(0)
+    # Column-major, the layout HiGHS takes; the COO entries come in row
+    # order, so each column's row indices are sorted as linprog's
+    # CSR-to-CSC conversion leaves them.
+    a_ub = sparse.csc_array((vals, (rows, cols)), shape=(nrows, nvar))
+    b_ub = np.concatenate(blk_b) if blk_b else np.empty(0)
     sign = 1.0 if lp.minimize else -1.0
-    # Dual simplex with Dantzig pricing, a fixed measured choice: on
-    # these models it takes ~12 % more pivots than HiGHS's default
-    # steepest edge, but each is cheaper.  LP time ties up to 128 sinks
-    # and falls 1.0-1.25x at 512-1024 sinks, 1.45-1.64x at 2048-4096
-    # (docs/PERFORMANCE.md, "Pricing").
-    res = linprog(
-        sign * c,
-        A_ub=a_ub,
+    return CollapsedLp(
+        c=sign * c,
+        a_ub=a_ub,
         b_ub=b_ub,
-        bounds=var_bounds,
-        method="highs-ds",
-        options={"simplex_dual_edge_weight_strategy": "dantzig"},
+        lb=np.concatenate([lb, np.full(num_aux, -np.inf)]),
+        ub=np.concatenate([ub, np.full(num_aux, np.inf)]),
     )
-    iterations = int(getattr(res, "nit", 0) or 0)
-    message = str(getattr(res, "message", "") or "").strip() or None
-    status = _STATUS_MAP.get(int(res.status), LpStatus.ERROR)
-    if status is not LpStatus.OPTIMAL or res.x is None:
+
+
+def _fits(basis: Basis | None, model: CollapsedLp) -> bool:
+    """Whether ``basis`` has one status per column and per row."""
+    if basis is None:
+        return False
+    nrows, nvar = model.a_ub.shape
+    return basis[0].shape == (nvar,) and basis[1].shape == (nrows,)
+
+
+def _final_basis(
+    highs: Any, x: np.ndarray, dual: np.ndarray, model: CollapsedLp
+) -> Basis | None:
+    """The optimal basis as ``getBasis`` reports it, built from the basic
+    index list: ``getBasis`` hands out one enum object per entry, ~1 ms
+    at 64 sinks.  Nonbasic columns sit on the bound they equal (a fixed
+    one on the side its reduced cost pushes toward), free ones at zero;
+    every row has only an upper side."""
+    status, basic = highs.getBasicVariables()
+    if status != _highs.HighsStatus.kOk:
+        return None
+    basic = np.asarray(basic)
+    col = np.full(x.size, _ZERO, dtype=np.int8)
+    col[x == model.ub] = _UPPER
+    fixed_up = (model.lb == model.ub) & (dual < 0.0)
+    col[(x == model.lb) & ~fixed_up] = _LOWER
+    col[basic[basic >= 0]] = _BASIC
+    row = np.full(model.b_ub.size, _UPPER, dtype=np.int8)
+    row[-1 - basic[basic < 0]] = _BASIC
+    return col, row
+
+
+def _solve_highs(
+    model: CollapsedLp, start: Basis | None, want_basis: bool
+) -> tuple[LpStatus, int, np.ndarray | None, Basis | None, str]:
+    """One HiGHS solve of ``model`` from ``start`` (or cold); returns
+    ``(status, iterations, x, basis, message)``.
+
+    The HiGHS object lives only for this call.  A start basis HiGHS
+    refuses as inconsistent leaves it solving cold; one it accepts is
+    only where dual simplex begins.
+    """
+    highs = _highs._Highs()
+    for key, value in _OPTIONS:
+        highs.setOptionValue(key, value)
+    a = model.a_ub
+    nrows, nvar = a.shape
+    # The array overload: it reads the numpy buffers directly, where
+    # filling a HighsLp converts them entry by entry (~0.5 ms at 64
+    # sinks).  All columns continuous, minimize, no offset.
+    passed = highs.passModel(
+        nvar, nrows, a.nnz,
+        int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize),
+        0.0, model.c, model.lb, model.ub, np.full(nrows, -np.inf),
+        model.b_ub, a.indptr.astype(np.int32, copy=False),
+        a.indices.astype(np.int32, copy=False), a.data,
+        np.zeros(nvar, dtype=np.int32),
+    )
+    if passed == _highs.HighsStatus.kError:
+        error = _highs.HighsModelStatus.kModelError
+        message = highs.modelStatusToString(error)
+        return _STATUS_MAP[error], 0, None, None, message
+    if start is not None:
+        hb = _highs.HighsBasis()
+        hb.col_status = [_STATUS_CODES[k] for k in start[0].tolist()]
+        hb.row_status = [_STATUS_CODES[k] for k in start[1].tolist()]
+        highs.setBasis(hb)
+    highs.run()
+    status = highs.getModelStatus()
+    iterations = int(highs.getInfo().simplex_iteration_count)
+    message = highs.modelStatusToString(status)
+    ours = _STATUS_MAP.get(status, LpStatus.ERROR)
+    if ours is not LpStatus.OPTIMAL:
+        return ours, iterations, None, None, message
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    basis = None
+    if want_basis:
+        basis = _final_basis(
+            highs, x, np.asarray(solution.col_dual), model
+        )
+    return ours, iterations, x, basis, message
+
+
+def solve_tree(lp: LinearProgram) -> LpResult:
+    """Solve a tree-stamped EBF model via the collapsed node-potential LP.
+
+    Raises :class:`BackendCapabilityError` for models without (current)
+    tree metadata; returns an :class:`LpResult` in the *original* edge
+    variable space, with the HiGHS iteration count of the collapsed LP.
+    HiGHS starts from ``tree_meta.basis`` when it fits the model, and
+    the result carries the final basis when ``tree_meta.return_basis``
+    is set.  Row duals are not produced (the collapsed model's rows do
+    not map 1:1 onto the flat model's).
+    """
+    try:
+        model = collapsed_tree_lp(lp)
+    except InfeasibleError as exc:
+        return _infeasible(str(exc))
+    meta = lp.tree_meta
+    assert meta is not None  # collapsed_tree_lp declined a bare model
+    start = meta.basis if _fits(meta.basis, model) else None
+    status, iterations, values, basis, message = _solve_highs(
+        model, start, meta.return_basis
+    )
+    if status is not LpStatus.OPTIMAL or values is None:
         return LpResult(
             status, None, None, iterations, "tree", message=message
         )
 
     # ---- recover edge lengths in the flat model's variable space ------
-    d = np.concatenate([[0.0], np.asarray(res.x, dtype=np.float64)[: n - 1]])
+    parents = np.asarray(meta.parents, dtype=np.int64)
+    n = int(parents.shape[0])
+    d = np.concatenate([[0.0], values[: n - 1]])
     e = d - d[parents]
     e[0] = 0.0
     np.maximum(e, 0.0, out=e)
@@ -377,4 +531,5 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         "tree",
         duals=None,
         message=message,
+        basis=basis,
     )

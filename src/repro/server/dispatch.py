@@ -8,9 +8,11 @@ makes repeated and related queries cheap:
   :func:`~repro.server.keys.instance_key` — a repeated query is answered
   bit-identically from memory, no LP runs;
 * a **warm store** (:class:`~repro.server.warm.WarmStore`) keyed by
-  topology hash — any client's sweep re-seeds its lazy loops from the
-  active Steiner rows previous clients discovered on the same structure,
-  turning PR 5's per-sweep ``WarmStart`` 3x into a cross-request win;
+  topology hash — a lazy-loop solve re-seeds from the active Steiner
+  rows previous clients discovered on the same structure, and a solve
+  on the direct tree path restarts dual simplex from the last optimal
+  basis any client left there, so a new window on a known net costs a
+  few pivots instead of hundreds;
 * a **resident worker pool** (:class:`repro.perf.WorkerPool`,
   ``jobs > 1``) — workers are forked once at startup and reused across
   requests, so per-request process cost disappears while the hard
@@ -119,15 +121,19 @@ def _deadline_at(req: Mapping[str, Any]) -> float | None:
 
 
 def _solve_job(
-    topo, bounds, options, carried_pairs, topo_key,
-    breakers=None, solvers=None,
+    topo, bounds, options, carried, topo_key, breakers=None, solvers=None,
 ):
     """One request's solve — runs inline, in an executor thread, or in a
     resident pool worker (module-level, so it pickles by reference).
 
-    Returns ``(payload, pairs)``: the JSON-ready result payload and the
-    warm rows (carried + newly discovered) to deposit back into the
-    cross-request store.
+    ``carried`` is the warm store's ``(rows, basis)`` for the topology.
+    A solve :func:`~repro.ebf.solver.direct_tree_path` sends to the
+    tree LP runs on ``backend="tree"`` and starts from the basis (a
+    store on ``"auto"`` would pick the lazy loop); any other solve seeds
+    its lazy loop with the rows.  Returns ``(payload, pairs, basis)``:
+    the JSON-ready result payload, the warm rows (carried + newly
+    discovered) and the final basis (or ``None``) to deposit back into
+    the cross-request store.
 
     ``breakers`` is either a live :class:`BreakerRegistry` (inline mode)
     or the string ``"process"`` — pool workers resolve the latter to
@@ -141,15 +147,17 @@ def _solve_job(
 
     if breakers == "process":
         breakers = default_registry()
-    # Warm rows only feed the lazy loop, and a store would keep "auto"
-    # on it: a solve bound for the direct tree path gets none.
-    direct = direct_tree_path(
+    pairs, basis = carried
+    if direct_tree_path(
         topo.num_sinks,
         backend=options.get("backend", "auto"),
         mode=options.get("mode", "lazy"),
         resilient=bool(options.get("resilient")),
-    )
-    ws = None if direct else WarmStart.seeded(topo_key, carried_pairs)
+    ):
+        ws = WarmStart.seeded(topo_key, (), basis)
+        options = {**options, "backend": "tree"}
+    else:
+        ws = WarmStart.seeded(topo_key, pairs)
     sol = solve_lubt(
         topo, bounds, warm=ws, breakers=breakers, solvers=solvers,
         **options,
@@ -186,7 +194,7 @@ def _solve_job(
     }
     if breakers is not None:
         payload["breakers"] = breakers.snapshot()
-    return payload, [] if ws is None else list(ws.pairs)
+    return payload, list(ws.pairs), ws.basis
 
 
 class SolveServer:
@@ -591,10 +599,10 @@ class SolveServer:
                 if cached is not None:
                     return self._cache_reply(key, cached)
                 tkey = topology_hash(topo)
-                carried = self.warm.pairs(tkey)
+                carried = self.warm.carried(tkey)
                 loop = asyncio.get_running_loop()
                 t0 = time.monotonic()
-                payload, pairs = await loop.run_in_executor(
+                payload, pairs, basis = await loop.run_in_executor(
                     None, self._solve_blocking,
                     topo, bounds, options, carried, tkey, remaining,
                 )
@@ -607,7 +615,7 @@ class SolveServer:
             self._load -= 1
         self.solves += 1
         self._merge_breakers(payload.pop("breakers", None))
-        self.warm.absorb(tkey, pairs)
+        self.warm.absorb(tkey, pairs, basis)
         self.cache.put(key, payload)
         self._record_report(
             SolveReport(instance_key=key, cache_hit=False,

@@ -185,13 +185,27 @@ class TestWarmStore:
         assert ws.key == "h"
         assert ws.pairs == [(1, 2, 0)]
 
-    def test_capacity_reset(self):
-        s = WarmStore(max_topologies=2)
-        s.absorb("a", [(1, 2, 0)])
-        s.absorb("b", [(1, 2, 0)])
-        s.absorb("c", [(1, 2, 0)])  # hits the cap: store is reset
-        assert s.stats()["topologies"] == 1
-        assert s.rows("a") == 0 and s.rows("c") == 1
+    def test_capacity_evicts_least_recently_used(self):
+        s = WarmStore()  # room for 512 topologies
+        basis = (np.zeros(3, dtype=np.int8), np.ones(2, dtype=np.int8))
+        for t in range(512):
+            s.absorb(f"t{t}", [(1, 2, 0)], basis)
+        s.carried("t0")  # a read makes t0 the most recently used
+        s.absorb("t512", [(1, 2, 0)], basis)  # the 513th evicts t1
+        assert s.stats()["topologies"] == 512
+        assert s.stats()["bases"] == 512
+        assert s.carried("t1") == ([], None)
+        for key in ("t0", "t512"):
+            rows, kept = s.carried(key)
+            assert rows == [(1, 2, 0)] and kept is basis
+
+    def test_warm_for_carries_the_basis(self):
+        s = WarmStore()
+        basis = (np.zeros(3, dtype=np.int8), np.ones(2, dtype=np.int8))
+        s.absorb("h", [], basis)
+        s.absorb("h", [(1, 2, 0)])  # a row deposit keeps the basis
+        ws = s.warm_for("h")
+        assert ws.pairs == [(1, 2, 0)] and ws.basis is basis
 
 
 class TestProtocol:
@@ -370,6 +384,27 @@ class TestSolveServerPooled:
                                                           1.5 * radius),
                                 backend="scipy")
         assert reply["warm_rows"] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_basis_survives_the_process_hop(self, jobs):
+        """A default request's new window on a solved topology re-solves
+        the tree LP from the stored basis, on any worker."""
+        topo, first, radius = instance(48, 0.8, 1.2)
+        window = DelayBounds.uniform(48, 0.6 * radius, 1.1 * radius)
+        with ServerThread(jobs=jobs) as handle:
+            with ServerClient(port=handle.port) as a:
+                cold = a.solve(topo, first)
+            with ServerClient(port=handle.port) as b:
+                warm = b.solve(topo, window)
+                stats = b.stats()
+        cold_iters = cold["result"]["stats"]["lp_iterations"]
+        warm_iters = warm["result"]["stats"]["lp_iterations"]
+        assert warm["result"]["stats"]["backend"] == "tree"
+        assert warm_iters * 5 <= cold_iters, (warm_iters, cold_iters)
+        assert stats["warm"]["bases"] == 1
+        assert canonical_cost(warm["result"]["cost"]) == canonical_cost(
+            solve_lubt(topo, window).cost
+        )
 
 
 class TestServeCli:

@@ -12,16 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import repro.lp.treesolve as treesolve
 from repro.check import check_instance
 from repro.data import load_benchmark, synth_instance
 from repro.delay import tree_cost
 from repro.ebf import DelayBounds, build_ebf_lp, solve_lubt
 from repro.ebf.bounds import radius_of
 from repro.ebf.constraints import seed_constraint_pairs
-from repro.ebf.formulation import expand_edge_vector
+from repro.ebf.formulation import build_tree_lp, expand_edge_vector
 from repro.ebf.solver import TREE_MIN_SINKS
-from repro.ebf.sweep import WarmStart, canonical_cost
+from repro.ebf.sweep import WarmStart, canonical_cost, solve_sweep
 from repro.geometry import Point
 from repro.lp import (
     BackendCapabilityError,
@@ -30,6 +32,7 @@ from repro.lp import (
     solve_lp,
     solve_tree,
 )
+from repro.lp.treesolve import collapsed_tree_lp
 from repro.resilience import (
     DEFAULT_CHAIN,
     default_solvers,
@@ -330,8 +333,10 @@ class TestAutoDispatch:
             )
             assert stats.lp_iterations == ref.iterations
             assert stats.warm_rows == 0
-        # An explicit tree solve neither reads nor feeds a warm store.
-        assert warm.solves == 0
+        # A fresh warm store has no basis, so its first tree solve starts
+        # cold and matches the reference bit for bit; it leaves its final
+        # basis behind for the next window.
+        assert warm.basis is not None
 
     def test_direct_path_is_validated(self, monkeypatch):
         """The exact all-pairs check still runs on the direct path."""
@@ -480,3 +485,186 @@ class TestSynthGenerator:
             synth_instance(1, 0)
         with pytest.raises(ValueError):
             synth_instance(16, 0, kind="ring")
+
+
+def _linprog_reference(lp):
+    """``linprog`` on ``solve_tree``'s collapsed model of ``lp``, with
+    the settings the backend uses; returns ``(result, edge vector)``
+    with the edges recovered as ``solve_tree`` recovers them."""
+    model = collapsed_tree_lp(lp)
+    res = linprog(
+        model.c,
+        A_ub=model.a_ub,
+        b_ub=model.b_ub,
+        bounds=np.column_stack([model.lb, model.ub]),
+        method="highs-ds",
+        options={"simplex_dual_edge_weight_strategy": "dantzig"},
+    )
+    if res.x is None:
+        return res, None
+    parents = np.asarray(lp.tree_meta.parents)
+    d = np.concatenate([[0.0], res.x[: parents.size - 1]])
+    e = np.maximum(d - d[parents], 0.0)[1:]
+    return res, np.minimum(np.maximum(e, lp.lower_bounds), lp.upper_bounds)
+
+
+class TestHighsBinding:
+    """The tree backend drives HiGHS through its model and basis binding
+    instead of ``linprog``; a cold solve must not change by one bit."""
+
+    @pytest.mark.parametrize("topology", ["nn", "htree"])
+    @pytest.mark.parametrize("m", [8, 64, 300])
+    def test_cold_solve_is_linprog_bit_for_bit(self, m, topology):
+        topo, bounds = synth_instance(m, 1996, topology=topology)
+        lp = build_tree_lp(topo, bounds)
+        ours = solve_tree(lp)
+        ref, x = _linprog_reference(lp)
+        assert ours.status is LpStatus.OPTIMAL and ref.status == 0
+        assert np.array_equal(ours.x, x)
+        assert ours.iterations == ref.nit
+
+    def test_zero_edges_are_linprog_bit_for_bit(self):
+        topo, bounds = synth_instance(64, 7, topology="nn")
+        parents = topo.parent_array()
+        root_edge = int(np.flatnonzero(parents[1:] == 0)[0]) + 1
+        interior = [int(v) for v in np.flatnonzero(parents[1:] != 0)[:2] + 1]
+        lp = build_tree_lp(
+            topo, bounds, zero_edges=(root_edge, *interior)
+        )
+        ours = solve_tree(lp)
+        ref, x = _linprog_reference(lp)
+        assert ours.status is LpStatus.OPTIMAL and ref.status == 0
+        assert np.array_equal(ours.x, x)
+        assert ours.iterations == ref.nit
+
+    def test_infeasible_window_same_status(self):
+        # No fixed source, so every window passes assembly; far sink
+        # pairs cannot meet their Steiner rows under 0.2 x radius.
+        topo = random_topo(16, 3)
+        r = radius_of(topo)
+        lp = build_tree_lp(topo, DelayBounds.uniform(16, 0.0, 0.2 * r))
+        ours = solve_tree(lp)
+        ref, _ = _linprog_reference(lp)
+        assert ref.status == 2
+        assert ours.status is LpStatus.INFEASIBLE
+
+    def test_binding_members_exist(self):
+        """Every binding member the backend touches, so a scipy upgrade
+        that moves one fails here by name."""
+        import scipy.optimize._highspy._core as core
+
+        for name in ("kOptimal", "kInfeasible", "kModelError", "kUnbounded"):
+            assert hasattr(core.HighsModelStatus, name)
+        for name in ("kLower", "kBasic", "kUpper", "kZero"):
+            assert hasattr(core.HighsBasisStatus, name)
+        assert hasattr(core.HighsStatus, "kOk")
+        assert hasattr(core.HighsStatus, "kError")
+        assert hasattr(core.MatrixFormat, "kColwise")
+        assert hasattr(core.ObjSense, "kMinimize")
+        basis = core.HighsBasis()
+        assert hasattr(basis, "col_status") and hasattr(basis, "row_status")
+        highs = core._Highs()
+        for method in ("setOptionValue", "passModel", "setBasis", "run",
+                       "getModelStatus", "getInfo", "getSolution",
+                       "getBasicVariables", "modelStatusToString"):
+            assert callable(getattr(highs, method))
+        for key, value in treesolve._OPTIONS:
+            assert highs.setOptionValue(key, value) == core.HighsStatus.kOk
+        assert hasattr(highs.getInfo(), "simplex_iteration_count")
+        solution = highs.getSolution()
+        assert hasattr(solution, "col_value") and hasattr(solution, "col_dual")
+
+    def test_exported_basis_is_highs_own(self, monkeypatch):
+        """The basis read off the basic index list equals ``getBasis``'s
+        (windows from 0.5 x radius fix the farthest sink's column)."""
+        seen = []
+        real = treesolve._final_basis
+
+        def spy(highs, x, dual, model):
+            ours = real(highs, x, dual, model)
+            seen.append((ours, highs.getBasis()))
+            return ours
+
+        monkeypatch.setattr(treesolve, "_final_basis", spy)
+        for m, topology in ((16, "nn"), (64, "htree"), (96, "nn")):
+            topo, _ = synth_instance(m, 5, topology=topology)
+            r = radius_of(topo)
+            for lo, hi in ((0.8, 1.2), (0.5, 1.0), (0.9, 1.1)):
+                bounds = DelayBounds.uniform(m, lo * r, hi * r)
+                solve_lubt(topo, bounds, backend="tree", warm=WarmStart())
+        assert len(seen) == 9
+        for (col, row), hb in seen:
+            assert col.tolist() == [int(s) for s in hb.col_status]
+            assert row.tolist() == [int(s) for s in hb.row_status]
+
+
+#: The request windows of perfbench's ``server-mix`` (x radius).
+MIX_WINDOWS = tuple(
+    (lo, max(lo + w, 1.0))
+    for lo in (0.5, 0.6, 0.7, 0.8, 0.9)
+    for w in (0.2, 0.3, 0.4, 0.6)
+)
+
+
+class TestWarmBasis:
+    """A carried basis is a starting point only: warm answers match cold
+    ones canonically, in a fraction of the pivots."""
+
+    @pytest.mark.parametrize("m", [32, 64, 96])
+    def test_window_sweep_warm_matches_cold(self, m):
+        topo, _ = synth_instance(m, 11, topology="nn")
+        r = radius_of(topo)
+        windows = [
+            DelayBounds.uniform(m, lo * r, hi * r) for lo, hi in MIX_WINDOWS
+        ]
+        # solve_lubt runs the exact post-check on every point and raises
+        # on a failure, warm or cold.
+        warm = solve_sweep(topo, windows, backend="tree")
+        cold = solve_sweep(topo, windows, backend="tree", warm=False)
+        for w, c in zip(warm, cold):
+            assert canonical_cost(w.cost) == canonical_cost(c.cost)
+        warm_iters = np.median([s.stats.lp_iterations for s in warm])
+        cold_iters = np.median([s.stats.lp_iterations for s in cold])
+        assert warm_iters <= cold_iters / 10, (warm_iters, cold_iters)
+
+    def _cold(self, topo, bounds):
+        return solve_lubt(topo, bounds, backend="tree")
+
+    def test_basis_of_another_shape_is_ignored(self):
+        topo, bounds = synth_instance(32, 2, topology="nn")
+        parents = topo.parent_array()
+        interior = int(np.flatnonzero(parents[1:] != 0)[0]) + 1
+        ws = WarmStart()
+        solve_lubt(topo, bounds, backend="tree", warm=ws,
+                   zero_edges=(interior,))
+        # The pinned edge added a row: the basis is one row too long.
+        shape = tuple(a.size for a in ws.basis)
+        sol = solve_lubt(topo, bounds, backend="tree", warm=ws)
+        cold = self._cold(topo, bounds)
+        assert tuple(a.size for a in ws.basis) != shape
+        assert np.array_equal(sol.edge_lengths, cold.edge_lengths)
+        assert sol.stats.lp_iterations == cold.stats.lp_iterations
+
+    def test_basis_of_another_topology_is_dropped(self):
+        topo_a, bounds_a = synth_instance(32, 2, topology="nn")
+        topo_b, bounds_b = synth_instance(32, 3, topology="nn")
+        ws = WarmStart()
+        solve_lubt(topo_a, bounds_a, backend="tree", warm=ws)
+        sol = solve_lubt(topo_b, bounds_b, backend="tree", warm=ws)
+        cold = self._cold(topo_b, bounds_b)
+        assert np.array_equal(sol.edge_lengths, cold.edge_lengths)
+        assert sol.stats.lp_iterations == cold.stats.lp_iterations
+
+    def test_shuffled_basis_still_gives_the_cold_answer(self):
+        topo, bounds = synth_instance(64, 4, topology="nn")
+        r = radius_of(topo)
+        ws = WarmStart()
+        solve_lubt(topo, bounds, backend="tree", warm=ws)
+        rng = np.random.default_rng(0)
+        col, row = ws.basis
+        ws.basis = (rng.permutation(col), rng.permutation(row))
+        window = DelayBounds.uniform(64, 0.6 * r, 1.1 * r)
+        sol = solve_lubt(topo, window, backend="tree", warm=ws)
+        assert canonical_cost(sol.cost) == canonical_cost(
+            self._cold(topo, window).cost
+        )
