@@ -28,7 +28,12 @@ CI-runner noise) with canonically identical cost.  On that solution the
 O(n log n) Steiner certificate (``max_steiner_violation``) must match the
 pair scan's maximum within its rounding guard and run at least
 ``CERT_FACTOR`` (5x) faster than the post-check scan it replaces, best of
-3 each.
+3 each.  The tree solve starts from the crash basis
+(``repro.lp.treesolve.crash_basis``), so it must also take at most
+``CRASH_PIVOTS`` (0.6) times the pivots ``linprog`` takes on the same
+collapsed model from HiGHS's own start: a crash that stopped being dual
+feasible would only send HiGHS back to its phase 1, which no answer
+check notices.
 
 No pytest / pytest-benchmark needed — plain stdlib + repro, so the CI
 job installs numpy and scipy only:
@@ -68,6 +73,11 @@ SWEEP_SINKS = 64
 #: The Steiner certificate must beat the post-check pair scan by this
 #: factor at ``--tree-sinks`` (best of 3 each).
 CERT_FACTOR = 5.0
+
+#: The crash-started tree solve may take at most this share of the
+#: pivots ``linprog`` takes on the same collapsed model (0.46 measured
+#: at 1024 sinks).
+CRASH_PIVOTS = 0.6
 
 
 def _instance(size: int) -> SolveTask:
@@ -263,13 +273,43 @@ def check_tree(sinks: int, factor: float) -> list[str]:
             f"{sinks} sinks (tree {tree_seconds:.3f}s, "
             f"{gen_sol.stats.backend} {gen_seconds:.3f}s)"
         )
+    pivots = tree_sol.stats.lp_iterations
+    cold = _linprog_pivots(topo, bounds)
+    if pivots > CRASH_PIVOTS * cold:
+        failures.append(
+            f"crash-started tree LP took {pivots} pivots > {CRASH_PIVOTS:g}"
+            f" x linprog's {cold} at {sinks} sinks"
+        )
     print(
         f"tree backend ({sinks} sinks): tree {tree_seconds:.3f}s vs "
         f"{gen_sol.stats.backend} {gen_seconds:.3f}s = {speedup:.1f}x, "
-        f"{tree_sol.stats.lp_iterations} LP iterations, costs "
+        f"{pivots} LP iterations vs linprog's {cold} on the same model "
+        f"({pivots / cold:.2f}x), costs "
         + ("match" if not failures else "DIFFER/SLOW")
     )
     return failures + check_certificate(topo, tree_sol.edge_lengths)
+
+
+def _linprog_pivots(topo, bounds) -> int:
+    """Pivots of ``linprog``'s dual simplex (Dantzig pricing, the tree
+    LP's settings) on the collapsed model of ``(topo, bounds)``, from
+    HiGHS's own start."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    from repro.ebf.formulation import build_tree_lp
+    from repro.lp.treesolve import collapsed_tree_lp
+
+    model = collapsed_tree_lp(build_tree_lp(topo, bounds))
+    res = linprog(
+        model.c,
+        A_ub=model.a_ub,
+        b_ub=model.b_ub,
+        bounds=np.column_stack([model.lb, model.ub]),
+        method="highs-ds",
+        options={"simplex_dual_edge_weight_strategy": "dantzig"},
+    )
+    return int(res.nit)
 
 
 def _best_of_3(fn):

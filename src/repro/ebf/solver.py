@@ -45,9 +45,14 @@ _CHECK_TOL = 1e-5
 
 #: Sink count from which a lazy, non-resilient ``backend="auto"`` solve
 #: without a warm store takes the direct tree path instead of the lazy
-#: loop on the dense simplex / HiGHS.  Measured, not tuned per call: the two paths tie at
-#: 8 sinks on a 2-core host (``auto_crossover`` in BENCH_scaling.json,
-#: written by ``benchmarks/bench_scaling.py``).
+#: loop on the dense simplex / HiGHS.  A module constant, not an option.
+#: It was the measured tie of the two paths until cold tree solves
+#: started from the crash basis; since then the tree path is faster at
+#: every measured size, from 4 sinks up (``auto_crossover`` in
+#: BENCH_scaling.json, written by ``benchmarks/bench_scaling.py``).  It
+#: stays at 8 while perfbench's self-test expects ``cts-chip``'s 6-sink
+#: nets on the simplex lazy loop, and moves with the next change to
+#: the benchmark (ROADMAP.md).
 TREE_MIN_SINKS = 8
 
 

@@ -21,8 +21,9 @@ by subtree minima,
     B_k <= min (d_i + su_i),  C_k <= min (d_i - sv_i),  D_k <= min (d_i + sv_i)
 
 expressed as telescoped 2-nnz chain rows (``A_k <= A_c`` per sink-bearing
-child ``c``; ``A_k <= d_k - su_k`` when ``k`` itself is a sink), plus two
-3-nnz geometry rows at every node that is the LCA of some pair:
+child ``c``; ``A_k <= d_k - su_k`` when ``k`` itself is a sink, and
+``A_k <= d_c - su_c`` in place of a leaf sink child's own chain), plus
+two 3-nnz geometry rows at every node that is the LCA of some pair:
 
     A_k + B_k >= 2 d_k        C_k + D_k >= 2 d_k
 
@@ -36,16 +37,20 @@ pair count, and one HiGHS solve on it replaces the whole lazy cutting
 plane loop — at 1024 sinks that is ~28x faster than the generic path
 (see docs/PERFORMANCE.md).
 
-**Warm start.**  The delay windows are column bounds of the collapsed
+**Start bases.**  The delay windows are column bounds of the collapsed
 model and nothing else depends on them, so an optimal basis of one
 window stays dual feasible for every other window on the same topology:
-dual simplex restarts from it in a handful of pivots.  The model goes to
-HiGHS through its own model and basis interface (the binding scipy ships
-as ``scipy.optimize._highspy``, with the options ``linprog(method=
-"highs-ds")`` passes, so cold answers equal ``linprog``'s bit for bit).
-A start basis rides in on :attr:`TreeLpMeta.basis`, the final one comes
-back on :attr:`LpResult.basis` when :attr:`TreeLpMeta.return_basis` asks
-for it, and each solve builds and drops its own HiGHS object.
+dual simplex restarts from it in a handful of pivots.  A solve without
+such a basis starts from the *crash basis*, a dual feasible basis
+:func:`crash_basis` reads off the tree, which skips dual simplex's
+phase 1 and about half the pivots of HiGHS's own start; two kinds of
+model keep HiGHS's start (see there).
+The model goes to HiGHS through its own model and basis interface (the
+binding scipy ships as ``scipy.optimize._highspy``, with the options
+``linprog(method="highs-ds")`` passes).  A carried basis rides in on
+:attr:`TreeLpMeta.basis`, the final one comes back on
+:attr:`LpResult.basis` when :attr:`TreeLpMeta.return_basis` asks for it,
+and each solve builds and drops its own HiGHS object.
 
 The backend consumes a :class:`~repro.lp.LinearProgram` like any other,
 but needs the tree facts the flat rows no longer expose.
@@ -93,11 +98,10 @@ _STATUS_MAP = {
 
 #: The options ``linprog(method="highs-ds", options={
 #: "simplex_dual_edge_weight_strategy": "dantzig"})`` sets.  Dual simplex
-#: with Dantzig pricing is a fixed measured choice: on these models it
-#: takes ~12 % more pivots than HiGHS's default steepest edge, but each
-#: is cheaper.  LP time ties up to 128 sinks and falls 1.0-1.25x at
-#: 512-1024 sinks, 1.45-1.64x at 2048-4096 (docs/PERFORMANCE.md,
-#: "Pricing").
+#: with Dantzig pricing is a fixed measured choice: from the crash basis
+#: it takes about as many pivots as steepest edge (HiGHS's default) and
+#: 1.35-2.9x less time, and it ties Devex up to 128 sinks and beats it
+#: by 16-27 % at 2048 (docs/PERFORMANCE.md, "Pricing").
 _OPTIONS = (
     ("presolve", "on"),
     ("solver", "simplex"),
@@ -159,6 +163,30 @@ class TreeLpMeta:
 
 
 @dataclass(frozen=True)
+class TreeLayout:
+    """Where a collapsed model keeps each node's columns and rows, as
+    :func:`crash_basis` reads them.  Arrays are indexed by node id, with
+    ``-1`` for "none"."""
+
+    parents: np.ndarray
+    num_sinks: int
+    #: The non-root nodes by depth, shallowest first (entry 0 holds the
+    #: root's children).
+    levels: tuple[np.ndarray, ...]
+    #: Sinks in each node's subtree.
+    nsink: np.ndarray
+    #: Row of ``d_parent - d_v <= 0`` (none at the root's children).
+    mono_row: np.ndarray
+    #: First of the 4 rows that bound the parent's auxiliaries by the
+    #: node's subtree: its chain rows, or its self rows at a leaf sink.
+    tie_row: np.ndarray
+    #: First of a sink's 4 self rows.
+    self_row: np.ndarray
+    #: First of a node's 4 auxiliary columns.
+    auxpos: np.ndarray
+
+
+@dataclass(frozen=True)
 class CollapsedLp:
     """The collapsed model ``min c @ x`` s.t. ``a_ub @ x <= b_ub``,
     ``lb <= x <= ub``.  Its first ``n - 1`` columns are the node delays
@@ -169,39 +197,47 @@ class CollapsedLp:
     b_ub: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    layout: TreeLayout = field(repr=False, compare=False)
 
 
 def _infeasible(message: str) -> LpResult:
     return LpResult(LpStatus.INFEASIBLE, None, None, 0, "tree", message=message)
 
 
-def _bfs_order(parents: np.ndarray) -> np.ndarray:
-    """Root-first traversal order from a parents array (children of a
-    node appear in increasing id order)."""
+def _tree_levels(parents: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The non-root nodes by depth, shallowest first, one NumPy step per
+    level (each node's children in increasing id order)."""
     n = parents.shape[0]
-    counts = np.bincount(parents[1:], minlength=n)
     cptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=cptr[1:])
+    np.cumsum(np.bincount(parents[1:], minlength=n), out=cptr[1:])
     kids = np.argsort(parents[1:], kind="stable").astype(np.int64) + 1
-    order = np.empty(n, dtype=np.int64)
-    order[0] = 0
-    head, tail = 0, 1
-    while head < tail:
-        v = int(order[head])
-        head += 1
-        a, b = int(cptr[v]), int(cptr[v + 1])
-        if b > a:
-            order[tail : tail + b - a] = kids[a:b]
-            tail += b - a
-    if tail != n:
+    levels: list[np.ndarray] = []
+    frontier = np.zeros(1, dtype=np.int64)
+    reached = 1
+    while True:
+        start = cptr[frontier]
+        size = cptr[frontier + 1] - start
+        total = int(size.sum())
+        if total == 0:
+            break
+        # The frontier nodes' child ranges of ``kids``, concatenated.
+        shift = np.repeat(start - (np.cumsum(size) - size), size)
+        frontier = kids[np.arange(total, dtype=np.int64) + shift]
+        levels.append(frontier)
+        reached += total
+    if reached != n:
         raise BackendCapabilityError(
             "tree metadata parents array is not a rooted tree"
         )
-    return order
+    return tuple(levels)
 
 
 def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
     """Assemble the collapsed node-potential LP of a tree-stamped model.
+
+    A leaf sink keeps no auxiliaries of its own: its self rows bound its
+    parent's directly.  HiGHS presolve makes that reduction itself, but
+    a start basis makes HiGHS skip presolve.
 
     Raises :class:`BackendCapabilityError` for models without (current)
     tree metadata and :class:`InfeasibleError` when a delay window or a
@@ -270,22 +306,24 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
             f"window [{lb[j - 1]:g}, {ub[j - 1]:g}]"
         )
 
-    # ---- tree walks: order, sink accounting ---------------------------
-    order = _bfs_order(parents)
+    # ---- tree walks: depth levels, sink accounting --------------------
+    levels = _tree_levels(parents)
     nsink = np.zeros(n, dtype=np.int64)
     nsink[1 : m + 1] = 1
-    for idx in range(n - 1, 0, -1):
-        v = int(order[idx])
-        nsink[parents[v]] += nsink[v]
+    for level in reversed(levels):
+        np.add.at(nsink, parents[level], nsink[level])
     has = nsink > 0
+    is_sink = np.zeros(n, dtype=bool)
+    is_sink[1 : m + 1] = True
+    leaf_sink = is_sink & (np.bincount(parents[1:], minlength=n) == 0)
 
     # ---- auxiliary min-chain variables --------------------------------
     auxpos = np.full(n, -1, dtype=np.int64)
     num_aux = 0
     if m >= 2:
-        bearing = np.flatnonzero(has)
-        auxpos[bearing] = (n - 1) + 4 * np.arange(bearing.size, dtype=np.int64)
-        num_aux = 4 * int(bearing.size)
+        keep = np.flatnonzero(has & ~leaf_sink)
+        auxpos[keep] = (n - 1) + 4 * np.arange(keep.size, dtype=np.int64)
+        num_aux = 4 * int(keep.size)
     nvar = n - 1 + num_aux
 
     # ---- objective: c[d_v] = w_v - sum of children weights ------------
@@ -307,25 +345,31 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
 
     def _pairs_block(
         left: np.ndarray, right: np.ndarray, rhs: np.ndarray
-    ) -> None:
-        """Rows ``x[left] - x[right] <= rhs``, one per entry."""
+    ) -> np.ndarray:
+        """Rows ``x[left] - x[right] <= rhs``, one per entry; returns
+        their indices."""
         nonlocal nrows
         k = int(rhs.size)
+        index = np.arange(nrows, nrows + k, dtype=np.int64)
         if k == 0:
-            return
+            return index
         cols = np.empty(2 * k, dtype=np.int64)
         cols[0::2] = left
         cols[1::2] = right
-        blk_i.append(np.repeat(np.arange(nrows, nrows + k, dtype=np.int64), 2))
+        blk_i.append(np.repeat(index, 2))
         blk_j.append(cols)
         blk_v.append(np.tile(np.array([1.0, -1.0]), k))
         blk_b.append(rhs)
         nrows += k
+        return index
 
     # Monotonicity d_parent <= d_v (root-adjacent edges are covered by
     # the lb >= 0 variable bounds).
     mono = np.flatnonzero(parents[1:] != 0).astype(np.int64) + 1
-    _pairs_block(parents[mono] - 1, mono - 1, np.zeros(mono.size))
+    mono_row = np.full(n, -1, dtype=np.int64)
+    mono_row[mono] = _pairs_block(
+        parents[mono] - 1, mono - 1, np.zeros(mono.size)
+    )
 
     # Pinned tie edges: d_v == d_parent (the reverse inequality).
     zero_interior = np.array(
@@ -337,30 +381,35 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
         np.zeros(zero_interior.size),
     )
 
+    tie_row = np.full(n, -1, dtype=np.int64)
+    self_row = np.full(n, -1, dtype=np.int64)
     if m >= 2:
-        # Chain rows: aux[k] <= aux[c] for every sink-bearing child c
-        # (a bearing node's parent is bearing by construction), 4 copies.
-        bc = np.flatnonzero(has)
-        bc = bc[bc != 0]
-        ap4 = (auxpos[parents[bc]][:, None] + np.arange(4)).ravel()
-        av4 = (auxpos[bc][:, None] + np.arange(4)).ravel()
-        _pairs_block(ap4, av4, np.zeros(4 * bc.size))
+        quad = np.arange(4)
+        # Chain rows: aux[k] <= aux[c] for every child c that keeps
+        # auxiliaries (a sink-bearing node's parent keeps them by
+        # construction), 4 copies.
+        bc = np.flatnonzero(auxpos[1:] >= 0) + 1
+        ap4 = (auxpos[parents[bc]][:, None] + quad).ravel()
+        av4 = (auxpos[bc][:, None] + quad).ravel()
+        tie_row[bc] = _pairs_block(ap4, av4, np.zeros(4 * bc.size))[::4]
 
-        # Self rows at sinks: A_k <= d_k - su_k, B_k <= d_k + su_k,
-        # C_k <= d_k - sv_k, D_k <= d_k + sv_k.
+        # Self rows at sinks, on the sink's own auxiliaries or, at a
+        # leaf sink, its parent's: A <= d_k - su_k, B <= d_k + su_k,
+        # C <= d_k - sv_k, D <= d_k + sv_k.
         s = np.arange(1, m + 1, dtype=np.int64)
+        holder = np.where(leaf_sink[s], parents[s], s)
         su = np.asarray(meta.su, dtype=np.float64)[1 : m + 1]
         sv = np.asarray(meta.sv, dtype=np.float64)[1 : m + 1]
-        a4 = (auxpos[s][:, None] + np.arange(4)).ravel()
+        a4 = (auxpos[holder][:, None] + quad).ravel()
         d4 = np.repeat(s - 1, 4)
         rhs4 = np.stack([-su, su, -sv, sv], axis=1).ravel()
-        _pairs_block(a4, d4, rhs4)
+        self_row[s] = _pairs_block(a4, d4, rhs4)[::4]
+        tie_row[leaf_sink] = self_row[leaf_sink]
 
         # Geometry rows at every LCA node: 2 d_k - A_k - B_k <= 0 and
         # 2 d_k - C_k - D_k <= 0 (the d term vanishes at the root).
-        is_sink = np.zeros(n, dtype=bool)
-        is_sink[1 : m + 1] = True
-        cnt = np.bincount(parents[bc], minlength=n)
+        bearing = np.flatnonzero(has[1:]) + 1
+        cnt = np.bincount(parents[bearing], minlength=n)
         geo = (cnt >= 2) | (is_sink & (cnt >= 1))
         g = np.flatnonzero(geo & (np.arange(n) != 0)).astype(np.int64)
         if g.size:
@@ -404,7 +453,90 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
         b_ub=b_ub,
         lb=np.concatenate([lb, np.full(num_aux, -np.inf)]),
         ub=np.concatenate([ub, np.full(num_aux, np.inf)]),
+        layout=TreeLayout(
+            parents=parents,
+            num_sinks=m,
+            levels=levels,
+            nsink=nsink,
+            mono_row=mono_row,
+            tie_row=tie_row,
+            self_row=self_row,
+            auxpos=auxpos,
+        ),
     )
+
+
+def crash_basis(model: CollapsedLp) -> Basis | None:
+    """A dual feasible start basis for ``model``, read off its tree, or
+    None where HiGHS's own start serves better.
+
+    From any other basis dual simplex first searches for a dual feasible
+    one (its phase 1); from this one it starts in phase 2.  With ``c``
+    the objective HiGHS minimizes, each node's negative cost is routed
+    down to a sink that absorbs it at a delay bound.  Walking root to
+    leaves with a dual flow ``f`` (0 at the root's children), a node
+    that has children and is not a sink computes ``out = f - c``: if
+    ``out >= 0`` its delay is basic, the monotonicity row to its
+    *chosen child* (the child with the most sinks, lowest id on ties) is
+    nonbasic with dual ``-out``, and the child receives ``f = out``;
+    otherwise its delay sits at its lower bound 0.  Every other delay
+    (sinks, childless nodes) sits at its lower bound if ``c - f >= 0``,
+    else at its upper bound.  Every auxiliary is basic and holds 4
+    nonbasic rows of dual 0: a sink's own self rows, else the 4 rows
+    that tie it to its chosen child.  All other rows are basic.
+
+    The nonbasic rows against the basic columns form a triangular
+    matrix in bottom-up order, so the basis is nonsingular; the duals
+    above solve it, and give every nonbasic column a reduced cost of its
+    bound's sign, so it is dual feasible.
+
+    None when a node would have to absorb flow at an infinite upper
+    bound (a ``[0, inf)`` window), or when every sink window is a single
+    point: presolve solves those models without a pivot.
+    """
+    t = model.layout
+    parents, m = t.parents, t.num_sinks
+    n = parents.size
+    nrows, nvar = model.a_ub.shape
+    if bool(np.all(model.lb[:m] == model.ub[:m])):
+        return None
+
+    # Chosen child of every node that has children.
+    kids = np.arange(1, n, dtype=np.int64)
+    ranked = kids[np.lexsort((kids, -t.nsink[kids], parents[kids]))]
+    lead = np.ones(ranked.size, dtype=bool)
+    lead[1:] = parents[ranked[1:]] != parents[ranked[:-1]]
+    chosen = np.full(n, -1, dtype=np.int64)
+    chosen[parents[ranked[lead]]] = ranked[lead]
+
+    cost = np.concatenate([[0.0], model.c[: n - 1]])
+    passes = chosen >= 0
+    passes[: m + 1] = False
+    flow = np.zeros(n)
+    basic = np.zeros(n, dtype=bool)
+    for level in t.levels:
+        out = flow[level] - cost[level]
+        push = passes[level] & (out >= 0.0)
+        v = level[push]
+        basic[v] = True
+        flow[chosen[v]] = out[push]
+    upper = (~basic & (cost - flow < 0.0))[1:]
+    if bool(np.any(np.isinf(model.ub[: n - 1][upper]))):
+        return None
+
+    col = np.full(nvar, _BASIC, dtype=np.int8)
+    col[: n - 1] = np.where(upper, _UPPER, _LOWER)
+    col[: n - 1][basic[1:]] = _BASIC
+    row = np.full(nrows, _BASIC, dtype=np.int8)
+    row[t.mono_row[chosen[basic]]] = _UPPER
+    holders = np.flatnonzero(t.auxpos >= 0)
+    first = np.where(
+        (holders >= 1) & (holders <= m),
+        t.self_row[holders],
+        t.tie_row[chosen[holders]],
+    )
+    row[(first[:, None] + np.arange(4)).ravel()] = _UPPER
+    return col, row
 
 
 def _fits(basis: Basis | None, model: CollapsedLp) -> bool:
@@ -495,10 +627,10 @@ def solve_tree(lp: LinearProgram) -> LpResult:
     Raises :class:`BackendCapabilityError` for models without (current)
     tree metadata; returns an :class:`LpResult` in the *original* edge
     variable space, with the HiGHS iteration count of the collapsed LP.
-    HiGHS starts from ``tree_meta.basis`` when it fits the model, and
-    the result carries the final basis when ``tree_meta.return_basis``
-    is set.  Row duals are not produced (the collapsed model's rows do
-    not map 1:1 onto the flat model's).
+    HiGHS starts from ``tree_meta.basis`` when it fits the model, else
+    from :func:`crash_basis`, and the result carries the final basis
+    when ``tree_meta.return_basis`` is set.  Row duals are not produced
+    (the collapsed model's rows do not map 1:1 onto the flat model's).
     """
     try:
         model = collapsed_tree_lp(lp)
@@ -506,7 +638,7 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         return _infeasible(str(exc))
     meta = lp.tree_meta
     assert meta is not None  # collapsed_tree_lp declined a bare model
-    start = meta.basis if _fits(meta.basis, model) else None
+    start = meta.basis if _fits(meta.basis, model) else crash_basis(model)
     status, iterations, values, basis, message = _solve_highs(
         model, start, meta.return_basis
     )

@@ -28,10 +28,6 @@ from repro.topology.tree import Topology
 
 FORMAT = "lubt-tree-v1"
 
-_HASH_CACHE: "dict[int, tuple[Any, str]]" = {}
-_HASH_CACHE_MAX = 4096
-
-
 def topology_hash(topo: Topology) -> str:
     """Structural SHA-256 of a topology (hex digest).
 
@@ -41,23 +37,19 @@ def topology_hash(topo: Topology) -> str:
     regardless of which Python objects hold them.  This is the canonical
     key for cross-request caches and :class:`repro.ebf.WarmStart` reuse.
 
-    Memoized per live object (topologies are immutable), so hashing on
-    every solve of a sweep costs one dict hit after the first.
+    Topologies are immutable, so the digest is stored on the instance:
+    hashing on every solve of a sweep costs one attribute read after the
+    first, the digest lives and dies with its topology, and it rides the
+    topology's pickle, so a pool worker never re-hashes what its parent
+    already hashed.
     """
-    key = id(topo)
-    hit = _HASH_CACHE.get(key)
-    # Guard against id() reuse after garbage collection: the cache holds
-    # a strong reference to the topology it hashed, so a live hit always
-    # refers to the same object.
-    if hit is not None and hit[0] is topo:
-        return hit[1]
-    blob = json.dumps(
-        topology_to_dict(topo), sort_keys=True, separators=(",", ":")
-    )
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    if len(_HASH_CACHE) >= _HASH_CACHE_MAX:
-        _HASH_CACHE.clear()
-    _HASH_CACHE[key] = (topo, digest)
+    digest = topo._digest
+    if digest is None:
+        blob = json.dumps(
+            topology_to_dict(topo), sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        topo._digest = digest
     return digest
 
 

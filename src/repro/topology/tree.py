@@ -99,6 +99,10 @@ class Topology:
         self._incidence = None
         self._parent_array: np.ndarray | None = None
         self._levels: tuple[Level, ...] | None = None
+        # The structural digest topology_hash stores; unlike the tables
+        # above it is pickled, so a pool worker reads it instead of
+        # re-hashing.
+        self._digest: str | None = None
 
     #: The memoized tables above: cheap to rebuild, so pickles (worker
     #: task and result payloads) leave them out.

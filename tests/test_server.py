@@ -142,6 +142,42 @@ class TestInstanceKey:
         assert math.isinf(hi[0])
 
 
+class TestTopologyHash:
+    """The digest lives on its topology: hashing pins nothing, and a
+    pickled copy (a pool worker's task) carries it along."""
+
+    def test_solved_topology_is_not_pinned(self):
+        import gc
+        import weakref
+
+        from repro.server.dispatch import _solve_job
+
+        topo, bounds, _ = instance(10)
+        alive = weakref.ref(topo)
+        payload, _, _ = _solve_job(
+            topo, bounds, {}, ((), None), topology_hash(topo)
+        )
+        assert payload["cost"] > 0
+        del topo
+        gc.collect()
+        assert alive() is None
+
+    def test_unpickled_copy_is_not_rehashed(self, monkeypatch):
+        import pickle
+
+        import repro.topology.serialize as serialize
+
+        topo, _, _ = instance(10)
+        digest = topology_hash(topo)
+        copy = pickle.loads(pickle.dumps(topo))
+
+        def rehash(*args, **kwargs):
+            raise AssertionError("topology_to_dict called on a hashed copy")
+
+        monkeypatch.setattr(serialize, "topology_to_dict", rehash)
+        assert topology_hash(copy) == digest
+
+
 class TestLruCache:
     def test_hit_returns_stored_object(self):
         c = LruCache(4)

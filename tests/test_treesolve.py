@@ -24,7 +24,7 @@ from repro.ebf.constraints import seed_constraint_pairs
 from repro.ebf.formulation import build_tree_lp, expand_edge_vector
 from repro.ebf.solver import TREE_MIN_SINKS
 from repro.ebf.sweep import WarmStart, canonical_cost, solve_sweep
-from repro.geometry import Point
+from repro.geometry import Point, manhattan
 from repro.lp import (
     BackendCapabilityError,
     InfeasibleError,
@@ -32,14 +32,14 @@ from repro.lp import (
     solve_lp,
     solve_tree,
 )
-from repro.lp.treesolve import collapsed_tree_lp
+from repro.lp.treesolve import collapsed_tree_lp, crash_basis
 from repro.resilience import (
     DEFAULT_CHAIN,
     default_solvers,
     diagnose_infeasibility,
     solve_lp_resilient,
 )
-from repro.topology import nearest_neighbor_topology
+from repro.topology import Topology, nearest_neighbor_topology
 
 
 def random_topo(m, seed, fixed=False):
@@ -47,6 +47,36 @@ def random_topo(m, seed, fixed=False):
     pts = [Point(float(x), float(y)) for x, y in rng.integers(0, 60, (m, 2))]
     src = Point(30.0, 30.0) if fixed else None
     return nearest_neighbor_topology(pts, src)
+
+
+def sink_chain_topo(m, seed, fixed=False):
+    """A sinks-only tree: each sink hangs under the previous one half
+    the time, else under a random earlier node, so most sinks are
+    interior and chains run deep."""
+    rng = np.random.default_rng(seed)
+    pts = [Point(float(x), float(y)) for x, y in rng.integers(0, 60, (m, 2))]
+    parents = [None, 0]
+    for i in range(2, m + 1):
+        parents.append(i - 1 if rng.random() < 0.5 else int(rng.integers(0, i)))
+    return Topology(parents, m, pts, Point(30.0, 30.0) if fixed else None)
+
+
+def chain_window(topo, lo, hi):
+    """``[lo, hi]`` x the longest sink-to-sink path of ``topo`` (which
+    has sinks only), measured from the source when it is fixed: ``hi >=
+    1`` keeps the unstretched tree feasible."""
+    par = topo.parent_array()
+    src = topo.source_location
+    path = np.zeros(topo.num_nodes)
+    for v in range(1, topo.num_nodes):
+        p = int(par[v])
+        here = topo.sink_location(v)
+        if p:
+            path[v] = path[p] + manhattan(here, topo.sink_location(p))
+        elif src is not None:
+            path[v] = manhattan(here, src)
+    top = float(path.max())
+    return DelayBounds.uniform(topo.num_sinks, lo * top, hi * top)
 
 
 def _solve_pair(topo, bounds, **kw):
@@ -125,6 +155,23 @@ class TestCanonicalParity:
         topo, bounds = synth_instance(96, 11, kind="clustered")
         tree, ref = _solve_pair(topo, bounds)
         assert canonical_cost(tree.cost) == canonical_cost(ref.cost)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_interior_sink_chains(self, seed):
+        m = 3 + seed
+        topo = sink_chain_topo(m, seed, fixed=seed % 2 == 0)
+        weights = None
+        if seed % 3 == 0:
+            rng = np.random.default_rng(seed)
+            weights = np.concatenate(
+                [[0.0], rng.uniform(0.5, 2.0, topo.num_nodes - 1)]
+            )
+        for lo, hi in ((0.0, 1.2), (0.3, 1.5)):
+            bounds = chain_window(topo, lo, hi)
+            tree, ref = _solve_pair(
+                topo, bounds, weights=weights, check_bounds=False
+            )
+            assert canonical_cost(tree.cost) == canonical_cost(ref.cost)
 
 
 class TestExperimentSuiteParity:
@@ -508,20 +555,29 @@ def _linprog_reference(lp):
     return res, np.minimum(np.maximum(e, lp.lower_bounds), lp.upper_bounds)
 
 
+def _assert_matches_linprog(lp, ours):
+    """``ours`` is ``linprog``'s optimum on the same collapsed model, in
+    at most its pivots (the crash start may end on another optimal
+    vertex of a degenerate face)."""
+    ref, _ = _linprog_reference(lp)
+    assert ours.status is LpStatus.OPTIMAL and ref.status == 0
+    assert abs(ours.objective - ref.fun) <= 1e-9 * abs(ref.fun)
+    assert canonical_cost(ours.objective) == canonical_cost(ref.fun)
+    assert ours.iterations <= ref.nit
+    return ref
+
+
 class TestHighsBinding:
     """The tree backend drives HiGHS through its model and basis binding
-    instead of ``linprog``; a cold solve must not change by one bit."""
+    instead of ``linprog``; a cold solve gives ``linprog``'s optimum
+    from the crash basis."""
 
     @pytest.mark.parametrize("topology", ["nn", "htree"])
     @pytest.mark.parametrize("m", [8, 64, 300])
     def test_cold_solve_is_linprog_bit_for_bit(self, m, topology):
         topo, bounds = synth_instance(m, 1996, topology=topology)
         lp = build_tree_lp(topo, bounds)
-        ours = solve_tree(lp)
-        ref, x = _linprog_reference(lp)
-        assert ours.status is LpStatus.OPTIMAL and ref.status == 0
-        assert np.array_equal(ours.x, x)
-        assert ours.iterations == ref.nit
+        _assert_matches_linprog(lp, solve_tree(lp))
 
     def test_zero_edges_are_linprog_bit_for_bit(self):
         topo, bounds = synth_instance(64, 7, topology="nn")
@@ -531,11 +587,7 @@ class TestHighsBinding:
         lp = build_tree_lp(
             topo, bounds, zero_edges=(root_edge, *interior)
         )
-        ours = solve_tree(lp)
-        ref, x = _linprog_reference(lp)
-        assert ours.status is LpStatus.OPTIMAL and ref.status == 0
-        assert np.array_equal(ours.x, x)
-        assert ours.iterations == ref.nit
+        _assert_matches_linprog(lp, solve_tree(lp))
 
     def test_infeasible_window_same_status(self):
         # No fixed source, so every window passes assembly; far sink
@@ -596,6 +648,155 @@ class TestHighsBinding:
         for (col, row), hb in seen:
             assert col.tolist() == [int(s) for s in hb.col_status]
             assert row.tolist() == [int(s) for s in hb.row_status]
+
+
+def _assert_dual_feasible(model, basis):
+    """NumPy's check, independent of HiGHS, that ``basis`` is a dual
+    feasible basis of ``model``: as many nonbasic entries as columns, a
+    full-rank basis matrix, and duals that give every nonbasic column a
+    reduced cost of its bound's sign and every nonbasic row a dual
+    <= 0."""
+    col, row = basis
+    lower, upper, basic = treesolve._LOWER, treesolve._UPPER, treesolve._BASIC
+    a = model.a_ub.toarray()
+    nrows, nvar = a.shape
+    assert col.shape == (nvar,) and row.shape == (nrows,)
+    assert np.count_nonzero(col != basic) + np.count_nonzero(row != basic) == nvar
+    assert set(np.unique(col)) <= {lower, upper, basic}
+    assert set(np.unique(row)) <= {upper, basic}
+    # Basic structural columns plus the unit columns of basic rows.
+    bcols, brows = np.flatnonzero(col == basic), np.flatnonzero(row == basic)
+    mat = np.hstack([a[:, bcols], np.eye(nrows)[:, brows]])
+    assert np.linalg.matrix_rank(mat) == nrows
+    y = np.linalg.solve(
+        mat.T, np.concatenate([model.c[bcols], np.zeros(brows.size)])
+    )
+    reduced = model.c - a.T @ y
+    tol = 1e-9 * max(1.0, float(np.abs(model.c).max()))
+    assert np.all(reduced[col == lower] >= -tol)
+    assert np.all(reduced[col == upper] <= tol)
+    assert np.all(y[row == upper] <= tol)
+    # Nonbasic columns sit on finite bounds.
+    assert np.all(np.isfinite(model.lb[col == lower]))
+    assert np.all(np.isfinite(model.ub[col == upper]))
+
+
+class TestCrashBasis:
+    """Cold tree solves start from a dual feasible basis built from the
+    topology (``crash_basis``), so dual simplex skips its phase 1."""
+
+    @staticmethod
+    def _zero_edge_lp(m=48):
+        topo, bounds = synth_instance(m, 7, topology="nn")
+        parents = topo.parent_array()
+        root_edge = int(np.flatnonzero(parents[1:] == 0)[0]) + 1
+        interior = [int(v) for v in np.flatnonzero(parents[1:] != 0)[:2] + 1]
+        return build_tree_lp(topo, bounds, zero_edges=(root_edge, *interior))
+
+    @staticmethod
+    def _weighted_lp(m=40):
+        topo, bounds = synth_instance(m, 3, topology="nn")
+        rng = np.random.default_rng(2)
+        weights = np.concatenate(
+            [[0.0], rng.uniform(0.5, 2.0, topo.num_nodes - 1)]
+        )
+        return build_tree_lp(topo, bounds, weights=weights)
+
+    @staticmethod
+    def _chain_lp(m, seed, lo, hi):
+        topo = sink_chain_topo(m, seed, fixed=seed % 2 == 0)
+        return build_tree_lp(topo, chain_window(topo, lo, hi))
+
+    CASES = {
+        "nn": lambda: build_tree_lp(*synth_instance(64, 1996, topology="nn")),
+        "htree": lambda: build_tree_lp(
+            *synth_instance(64, 1996, topology="htree")
+        ),
+        "chain": lambda: TestCrashBasis._chain_lp(14, 4, 0.0, 1.2),
+        "chain-stretched": lambda: TestCrashBasis._chain_lp(11, 7, 0.3, 1.5),
+        "weighted": lambda: TestCrashBasis._weighted_lp(),
+        "zero-edges": lambda: TestCrashBasis._zero_edge_lp(),
+        "two-sinks": lambda: build_tree_lp(*synth_instance(2, 5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_a_dual_feasible_basis(self, case):
+        model = collapsed_tree_lp(self.CASES[case]())
+        basis = crash_basis(model)
+        assert basis is not None
+        _assert_dual_feasible(model, basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=14),
+        seed=st.integers(min_value=0, max_value=300),
+        chain=st.booleans(),
+        weighted=st.booleans(),
+    )
+    def test_random_trees_give_a_dual_feasible_crash(
+        self, m, seed, chain, weighted
+    ):
+        fixed = seed % 2 == 0
+        topo = sink_chain_topo(m, seed, fixed) if chain else random_topo(
+            m, seed, fixed
+        )
+        weights = None
+        if weighted:
+            rng = np.random.default_rng(seed)
+            weights = np.concatenate(
+                [[0.0], rng.uniform(0.0, 2.0, topo.num_nodes - 1)]
+            )
+        r = radius_of(topo)
+        bounds = DelayBounds.uniform(m, 0.5 * r, (1.5 + m) * r)
+        model = collapsed_tree_lp(build_tree_lp(topo, bounds, weights=weights))
+        basis = crash_basis(model)
+        assert basis is not None
+        _assert_dual_feasible(model, basis)
+
+    def test_halves_the_pivots(self):
+        topo, bounds = synth_instance(300, 1996)
+        lp = build_tree_lp(topo, bounds)
+        ours = solve_tree(lp)
+        ref = _assert_matches_linprog(lp, ours)
+        assert ours.iterations <= 0.6 * ref.nit, (ours.iterations, ref.nit)
+
+    def test_unbounded_window_gets_no_crash(self):
+        topo = random_topo(12, 5)
+        bounds = DelayBounds.unbounded(12)
+        assert crash_basis(collapsed_tree_lp(build_tree_lp(topo, bounds))) is None
+        tree, ref = _solve_pair(topo, bounds)
+        assert canonical_cost(tree.cost) == canonical_cost(ref.cost)
+
+    def test_point_windows_get_no_crash(self):
+        topo, _ = synth_instance(64, 1996)
+        bounds = DelayBounds.zero_skew(64, 1.1 * radius_of(topo))
+        lp = build_tree_lp(topo, bounds)
+        assert crash_basis(collapsed_tree_lp(lp)) is None
+        result = solve_tree(lp)
+        assert result.status is LpStatus.OPTIMAL
+        assert result.iterations == 0
+
+    @pytest.mark.parametrize(
+        "case", ["nn", "htree", "chain", "weighted", "zero-edges"]
+    )
+    def test_leaf_sinks_keep_no_auxiliaries(self, case):
+        lp = self.CASES[case]()
+        meta = lp.tree_meta
+        parents, m = np.asarray(meta.parents), meta.num_sinks
+        n = parents.size
+        nsink = np.zeros(n, dtype=int)
+        for s in range(1, m + 1):
+            v = s
+            while True:
+                nsink[v] += 1
+                if v == 0:
+                    break
+                v = int(parents[v])
+        leaf = np.bincount(parents[1:], minlength=n) == 0
+        leaf_sink = leaf & (np.arange(n) >= 1) & (np.arange(n) <= m)
+        holders = np.count_nonzero((nsink > 0) & ~leaf_sink)
+        model = collapsed_tree_lp(lp)
+        assert model.a_ub.shape[1] == (n - 1) + 4 * holders
 
 
 #: The request windows of perfbench's ``server-mix`` (x radius).
