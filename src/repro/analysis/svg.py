@@ -2,7 +2,8 @@
 
 Produces a standalone .svg: L-shaped wires, the source as a square, sinks
 as circles, Steiner points as small diamonds, with elongated edges drawn
-dashed (their drawn span is shorter than their electrical length).
+dashed (their drawn span is shorter than their electrical length: a
+detour, :meth:`~repro.embedding.pipeline.EmbeddedTree.detours`).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.embedding.pipeline import EmbeddedTree
-from repro.geometry import Point, manhattan
+from repro.geometry import Point
 
 _STYLE = (
     "<style>"
@@ -55,11 +56,11 @@ def tree_to_svg(
 
     body: list[str] = []
     max_amp = span / 40.0  # keep serpentines visually near their route
+    detours = tree.detours()
     for node in range(1, topo.num_nodes):
         a = pts[topo.parent(node)]
         b = pts[node]
-        elongated = tree.edge_lengths[node] > manhattan(a, b) + 1e-6
-        if elongated:
+        if detours[node] > 0.0:
             # Draw the detour as actual serpentine geometry.
             route = serpentine_route(
                 a, b, float(tree.edge_lengths[node]), max_amplitude=max_amp

@@ -20,6 +20,11 @@ from repro.geometry import Point, manhattan
 from repro.topology import Topology
 
 
+#: An edge longer than its drawn Manhattan span by more than this is a
+#: detour (the SVG export dashes it); anything less is rounding.
+DETOUR_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class EmbeddedTree:
     """A routed tree: edge lengths plus realized coordinates.
@@ -45,10 +50,24 @@ class EmbeddedTree:
             for k in range(1, self.topology.num_nodes)
         )
 
+    def detours(self) -> np.ndarray:
+        """Each edge's detour by node id (entry 0 is 0): its length minus
+        its drawn span where that exceeds :data:`DETOUR_TOL`, else 0."""
+        topo, pts = self.topology, self.placements
+        out = np.zeros(topo.num_nodes)
+        for k in range(1, topo.num_nodes):
+            extra = float(self.edge_lengths[k]) - manhattan(
+                pts[k], pts[topo.parent(k)]
+            )
+            if extra > DETOUR_TOL:
+                out[k] = extra
+        return out
+
     @property
     def elongation(self) -> float:
-        """Total detour length (cost minus drawn wirelength)."""
-        return self.cost - self.drawn_wirelength
+        """Total detour length, the sum of :meth:`detours`: exactly 0.0
+        for a tree without detours."""
+        return float(self.detours().sum())
 
     def sink_delays(self) -> np.ndarray:
         return sink_delays_linear(self.topology, self.edge_lengths)

@@ -42,9 +42,10 @@ model and nothing else depends on them, so an optimal basis of one
 window stays dual feasible for every other window on the same topology:
 dual simplex restarts from it in a handful of pivots.  A solve without
 such a basis starts from the *crash basis*, a dual feasible basis
-:func:`crash_basis` reads off the tree, which skips dual simplex's
-phase 1 and about half the pivots of HiGHS's own start; two kinds of
-model keep HiGHS's start (see there).
+:func:`crash_basis` reads off the tree: dual simplex skips its phase 1
+and starts where the binding geometry rows place the Steiner points,
+in at most about a fifth of the pivots of HiGHS's own start; two kinds
+of model keep HiGHS's start (see there).
 The model goes to HiGHS through its own model and basis interface (the
 binding scipy ships as ``scipy.optimize._highspy``, with the options
 ``linprog(method="highs-ds")`` passes).  A carried basis rides in on
@@ -99,9 +100,10 @@ _STATUS_MAP = {
 #: The options ``linprog(method="highs-ds", options={
 #: "simplex_dual_edge_weight_strategy": "dantzig"})`` sets.  Dual simplex
 #: with Dantzig pricing is a fixed measured choice: from the crash basis
-#: it takes about as many pivots as steepest edge (HiGHS's default) and
-#: 1.35-2.9x less time, and it ties Devex up to 128 sinks and beats it
-#: by 16-27 % at 2048 (docs/PERFORMANCE.md, "Pricing").
+#: it takes at most ~15 % more pivots than steepest edge (HiGHS's
+#: default) in 1.02-1.88x less time, and it trades places with Devex
+#: from size to size but beats it by 10-18 % at 2048 sinks, the
+#: ``large-net`` size (docs/PERFORMANCE.md, "Pricing").
 _OPTIONS = (
     ("presolve", "on"),
     ("solver", "simplex"),
@@ -173,8 +175,6 @@ class TreeLayout:
     #: The non-root nodes by depth, shallowest first (entry 0 holds the
     #: root's children).
     levels: tuple[np.ndarray, ...]
-    #: Sinks in each node's subtree.
-    nsink: np.ndarray
     #: Row of ``d_parent - d_v <= 0`` (none at the root's children).
     mono_row: np.ndarray
     #: First of the 4 rows that bound the parent's auxiliaries by the
@@ -182,6 +182,8 @@ class TreeLayout:
     tie_row: np.ndarray
     #: First of a sink's 4 self rows.
     self_row: np.ndarray
+    #: First of a node's 2 geometry rows (``A + B``, then ``C + D``).
+    geo_row: np.ndarray
     #: First of a node's 4 auxiliary columns.
     auxpos: np.ndarray
 
@@ -383,6 +385,7 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
 
     tie_row = np.full(n, -1, dtype=np.int64)
     self_row = np.full(n, -1, dtype=np.int64)
+    geo_row = np.full(n, -1, dtype=np.int64)
     if m >= 2:
         quad = np.arange(4)
         # Chain rows: aux[k] <= aux[c] for every child c that keeps
@@ -414,6 +417,7 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
         g = np.flatnonzero(geo & (np.arange(n) != 0)).astype(np.int64)
         if g.size:
             k = int(g.size)
+            geo_row[g] = nrows + 2 * np.arange(k, dtype=np.int64)
             rows = np.repeat(np.arange(nrows, nrows + 2 * k, dtype=np.int64), 3)
             cols = np.empty(6 * k, dtype=np.int64)
             vals = np.tile(np.array([2.0, -1.0, -1.0]), 2 * k)
@@ -430,6 +434,7 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
             nrows += 2 * k
         if bool(geo[0]):
             a0 = int(auxpos[0])
+            geo_row[0] = nrows
             blk_i.append(
                 np.repeat(np.arange(nrows, nrows + 2, dtype=np.int64), 2)
             )
@@ -457,10 +462,10 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
             parents=parents,
             num_sinks=m,
             levels=levels,
-            nsink=nsink,
             mono_row=mono_row,
             tie_row=tie_row,
             self_row=self_row,
+            geo_row=geo_row,
             auxpos=auxpos,
         ),
     )
@@ -471,24 +476,44 @@ def crash_basis(model: CollapsedLp) -> Basis | None:
     None where HiGHS's own start serves better.
 
     From any other basis dual simplex first searches for a dual feasible
-    one (its phase 1); from this one it starts in phase 2.  With ``c``
-    the objective HiGHS minimizes, each node's negative cost is routed
-    down to a sink that absorbs it at a delay bound.  Walking root to
-    leaves with a dual flow ``f`` (0 at the root's children), a node
-    that has children and is not a sink computes ``out = f - c``: if
-    ``out >= 0`` its delay is basic, the monotonicity row to its
-    *chosen child* (the child with the most sinks, lowest id on ties) is
-    nonbasic with dual ``-out``, and the child receives ``f = out``;
-    otherwise its delay sits at its lower bound 0.  Every other delay
-    (sinks, childless nodes) sits at its lower bound if ``c - f >= 0``,
-    else at its upper bound.  Every auxiliary is basic and holds 4
-    nonbasic rows of dual 0: a sink's own self rows, else the 4 rows
-    that tie it to its chosen child.  All other rows are basic.
+    one (its phase 1); from this one it starts in phase 2, at a vertex
+    where the pair constraints place the Steiner points.  With ``c`` the
+    objective HiGHS minimizes, each Steiner node's negative cost is
+    routed as a dual flow through its *binding* geometry row and down to
+    the sinks that attain its subtree minima, which absorb it at a delay
+    bound.
 
-    The nonbasic rows against the basic columns form a triangular
-    matrix in bottom-up order, so the basis is nonsingular; the duals
-    above solve it, and give every nonbasic column a reduced cost of its
-    bound's sign, so it is dual feasible.
+    *Estimates.*  A sink's value in auxiliary column ``q`` (``d - u``,
+    ``d + u``, ``d - v``, ``d + v``) is its delay's lower bound plus its
+    self row's rhs.  Subtree minima roll up one depth level per NumPy
+    step, and each ``(node, q)`` records the group attaining its minimum:
+    the node itself if it is a sink that does, else the lowest such
+    child id.  A node's binding geometry row is the smaller of its
+    estimated ``A + B`` and ``C + D`` (``A + B`` on ties).
+
+    *Flow.*  Walking root to leaves with ``f`` the flow arriving through
+    a node's own monotonicity row (0 at the root's children), a node
+    that has children and is not a sink computes ``out = f - c``.  If
+    ``out >= 0`` its delay is basic: at a node with geometry rows the
+    binding one is nonbasic with dual ``-out / 2`` and its two
+    auxiliaries receive ``out / 2`` each; at one without (a single
+    sink-bearing child) the monotonicity row to its child with the most
+    sinks (lowest id on ties) is nonbasic with dual ``-out`` and that
+    child receives ``f = out``.  Otherwise its delay sits at its lower
+    bound 0.  Every auxiliary is basic and holds one nonbasic row, the
+    one to the group attaining its minimum (a chain row, its own self
+    row, or a leaf sink child's self row), with minus the flow it passes
+    down as dual.  Every other delay (sinks, childless nodes) sits at
+    its lower bound if ``c`` minus the flow it absorbs is ``>= 0``, else
+    at its upper bound.  All other rows are basic.
+
+    Each basic column holds one nonbasic row.  Auxiliaries follow
+    bottom-up from nonbasic sink delays, basic delays from their
+    auxiliaries or child: the system is triangular, so the basis is
+    nonsingular.  The duals above solve it, are ``<= 0`` on every
+    nonbasic row, and by flow conservation give every basic column a
+    reduced cost of 0 and every nonbasic one its bound's sign: the basis
+    is dual feasible.
 
     None when a node would have to absorb flow at an infinite upper
     bound (a ``[0, inf)`` window), or when every sink window is a single
@@ -500,27 +525,53 @@ def crash_basis(model: CollapsedLp) -> Basis | None:
     nrows, nvar = model.a_ub.shape
     if bool(np.all(model.lb[:m] == model.ub[:m])):
         return None
+    ids = np.arange(n, dtype=np.int64)
+    kids, up = ids[1:], parents[1:]
+    quad = np.arange(4)
 
-    # Chosen child of every node that has children.
-    kids = np.arange(1, n, dtype=np.int64)
-    ranked = kids[np.lexsort((kids, -t.nsink[kids], parents[kids]))]
-    lead = np.ones(ranked.size, dtype=bool)
-    lead[1:] = parents[ranked[1:]] != parents[ranked[:-1]]
-    chosen = np.full(n, -1, dtype=np.int64)
-    chosen[parents[ranked[lead]]] = ranked[lead]
+    # Estimated subtree minima and the group attaining each: grp[k, q]
+    # is k for a sink's own value, else a child (n: no child).  At a
+    # node that is not a sink and has at most one sink-bearing child,
+    # grp[k, 0] is also its child with the most sinks, lowest id on
+    # ties: the monotonicity route of nodes without geometry rows.
+    own = np.full((n, 4), np.inf)
+    s = ids[1 : m + 1]
+    own[s] = model.lb[s - 1, None]
+    if m >= 2:
+        own[s] += model.b_ub[t.self_row[s, None] + quad]
+    low = own.copy()
+    for level in reversed(t.levels):
+        np.minimum.at(low, parents[level], low[level])
+    grp = np.where(np.isfinite(own) & (own == low), -1, n)
+    np.minimum.at(grp, up, np.where(low[1:] == low[up], kids[:, None], n))
+    grp = np.where(grp < 0, ids[:, None], grp)
+    chosen = grp[:, 0]
+    # Column offset of each node's binding geometry row's auxiliaries.
+    bind = np.where(low[:, 2] + low[:, 3] < low[:, 0] + low[:, 1], 2, 0)
 
     cost = np.concatenate([[0.0], model.c[: n - 1]])
-    passes = chosen >= 0
-    passes[: m + 1] = False
+    routes = chosen < n
+    routes[: m + 1] = False
+    has_geo = t.geo_row >= 0
     flow = np.zeros(n)
+    aux_flow = np.zeros((n, 4))
     basic = np.zeros(n, dtype=bool)
     for level in t.levels:
+        above = parents[level]
+        aux_flow[level] = np.where(
+            grp[above] == level[:, None], aux_flow[above], 0.0
+        )
         out = flow[level] - cost[level]
-        push = passes[level] & (out >= 0.0)
-        v = level[push]
+        push = routes[level] & (out >= 0.0)
+        v, out = level[push], out[push]
         basic[v] = True
-        flow[chosen[v]] = out[push]
-    upper = (~basic & (cost - flow < 0.0))[1:]
+        geo = has_geo[v]
+        g, half = v[geo], 0.5 * out[geo]
+        aux_flow[g, bind[g]] += half
+        aux_flow[g, bind[g] + 1] += half
+        flow[chosen[v[~geo]]] = out[~geo]
+    absorbed = flow + np.where(grp == ids[:, None], aux_flow, 0.0).sum(axis=1)
+    upper = (~basic & (cost - absorbed < 0.0))[1:]
     if bool(np.any(np.isinf(model.ub[: n - 1][upper]))):
         return None
 
@@ -528,14 +579,14 @@ def crash_basis(model: CollapsedLp) -> Basis | None:
     col[: n - 1] = np.where(upper, _UPPER, _LOWER)
     col[: n - 1][basic[1:]] = _BASIC
     row = np.full(nrows, _BASIC, dtype=np.int8)
-    row[t.mono_row[chosen[basic]]] = _UPPER
+    row[t.geo_row[basic & has_geo] + bind[basic & has_geo] // 2] = _UPPER
+    row[t.mono_row[chosen[basic & ~has_geo]]] = _UPPER
     holders = np.flatnonzero(t.auxpos >= 0)
-    first = np.where(
-        (holders >= 1) & (holders <= m),
-        t.self_row[holders],
-        t.tie_row[chosen[holders]],
+    to = grp[holders]
+    tie = np.where(
+        to == holders[:, None], t.self_row[holders, None], t.tie_row[to]
     )
-    row[(first[:, None] + np.arange(4)).ravel()] = _UPPER
+    row[(tie + quad).ravel()] = _UPPER
     return col, row
 
 

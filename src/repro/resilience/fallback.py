@@ -40,6 +40,10 @@ Backend = Callable[[LinearProgram], LpResult]
 #: structure-aware last resort when the generic backends fail.
 DEFAULT_CHAIN = ("simplex", "scipy", "tree")
 
+#: Row feasibility tolerance of an "optimal" answer, per unit of
+#: ``1 + max |rhs|`` (see :func:`solve_lp_resilient`).
+FEASIBILITY_TOL = 1e-6
+
 _STATUS_TO_OUTCOME = {
     LpStatus.OPTIMAL: AttemptOutcome.OPTIMAL,
     LpStatus.INFEASIBLE: AttemptOutcome.INFEASIBLE,
@@ -166,7 +170,6 @@ def solve_lp_resilient(
     rescale_retry: bool | str = True,
     confirm_infeasible: bool = False,
     raise_on_failure: bool = True,
-    feasibility_tol: float = 1e-6,
     breakers: BreakerRegistry | None = None,
 ) -> SolveReport:
     """Solve ``lp`` through a backend cascade; never die on one backend.
@@ -212,8 +215,9 @@ def solve_lp_resilient(
         is a permanent fact about the model's shape, not backend health.
 
     Returns the :class:`SolveReport`; ``report.result`` is the terminal
-    :class:`LpResult`.  Feasibility validation uses ``feasibility_tol``
-    scaled by the model's rhs magnitude.
+    :class:`LpResult`.  Feasibility validation uses
+    :data:`FEASIBILITY_TOL` scaled by ``1 +`` the model's largest rhs
+    magnitude.
     """
     if rescale_retry not in (True, False, "auto"):
         raise ValueError(f"unknown rescale_retry mode {rescale_retry!r}")
@@ -242,7 +246,7 @@ def solve_lp_resilient(
     rhs_mag = max(
         (abs(lp.row(i)[2]) for i in range(lp.num_constraints)), default=0.0
     )
-    feas_tol = feasibility_tol * (1.0 + rhs_mag)
+    feas_tol = FEASIBILITY_TOL * (1.0 + rhs_mag)
 
     report = SolveReport()
     scaled_pair: tuple[LinearProgram, float] | None = None

@@ -1,11 +1,14 @@
 """Tests for the SVG tree exporter."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.analysis import save_svg, tree_to_svg
+from repro.analysis import render_tree, save_svg, tree_to_svg
 from repro.ebf import DelayBounds
-from repro.embedding import solve_and_embed
-from repro.geometry import Point
+from repro.embedding import EmbeddedTree, solve_and_embed
+from repro.geometry import Point, manhattan
 from repro.topology import nearest_neighbor_topology
 
 
@@ -66,3 +69,35 @@ class TestSvg:
         path = tmp_path / "tree.svg"
         save_svg(path, tree, size=320)
         assert path.read_text().startswith("<svg")
+
+
+def _rounded_below(tree):
+    """``tree`` with every edge a hair shorter than its drawn span, as
+    rounding leaves a tree without detours."""
+    topo, pts = tree.topology, tree.placements
+    e = np.array(tree.edge_lengths, dtype=float)
+    for k in range(1, topo.num_nodes):
+        e[k] = max(manhattan(pts[k], pts[topo.parent(k)]) - 1e-11, 0.0)
+    return EmbeddedTree(topo, e, pts)
+
+
+class TestElongationTotal:
+    """The total counts exactly the detours the drawing dashes."""
+
+    def test_rounding_is_no_detour(self, tree):
+        flat = _rounded_below(tree)
+        assert flat.cost < flat.drawn_wirelength
+        assert flat.elongation == 0.0
+        assert math.copysign(1.0, flat.elongation) == 1.0
+        svg = tree_to_svg(flat)
+        assert 'class="elong"' not in svg
+        assert "elongation=0.0<" in svg
+        assert render_tree(flat).endswith("elongation=0")
+        assert f"{flat.elongation:,.1f}" == "0.0"
+
+    def test_total_is_the_dashed_detours(self, elongated_tree):
+        t = elongated_tree
+        assert t.detours()[0] == 0.0
+        assert np.count_nonzero(t.detours()) == 2
+        assert t.elongation == pytest.approx(t.cost - t.drawn_wirelength)
+        assert tree_to_svg(t).count('class="elong"') == 2
