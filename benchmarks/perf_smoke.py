@@ -30,11 +30,11 @@ pair scan's maximum within its rounding guard and run at least
 ``CERT_FACTOR`` (5x) faster than the post-check scan it replaces, best of
 3 each.  The tree solve starts from the crash basis
 (``repro.lp.treesolve.crash_basis``), so it must also take at most
-``CRASH_PIVOTS`` (0.3) times the pivots ``linprog`` takes on the same
+``CRASH_PIVOTS`` (0.25) times the pivots ``linprog`` takes on the same
 collapsed model from HiGHS's own start: a crash that stopped being dual
-feasible would only send HiGHS back to its phase 1, and one routed down
-monotonicity rows to each node's most-sinks child would take 0.46x,
-neither of which an answer check notices.
+feasible would only send HiGHS back to its phase 1, and one that routed
+every Steiner node down a monotonicity row instead of its binding
+geometry row takes 0.28x, neither of which an answer check notices.
 
 No pytest / pytest-benchmark needed — plain stdlib + repro, so the CI
 job installs numpy and scipy only:
@@ -77,9 +77,9 @@ CERT_FACTOR = 5.0
 
 #: The crash-started tree solve may take at most this share of the
 #: pivots ``linprog`` takes on the same collapsed model (0.18 measured
-#: at 1024 sinks; a crash routed down monotonicity rows to each node's
-#: most-sinks child takes 0.46).
-CRASH_PIVOTS = 0.3
+#: at 1024 sinks; a crash that skips the binding geometry rows and
+#: routes every Steiner node down a monotonicity row takes 0.28).
+CRASH_PIVOTS = 0.25
 
 
 def _instance(size: int) -> SolveTask:

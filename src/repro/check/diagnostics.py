@@ -116,16 +116,16 @@ CODES: dict[str, tuple[Severity, str, str]] = {
         "ill-conditioned-coefficients",
         "coefficient magnitudes span >= 1e10; solver pivot tolerances "
         "degrade — equilibrate the model (rescale_lp) or rebuild with "
-        "consistent units; solve_lp_resilient(rescale_retry=\"auto\") "
-        "keys its rescale retry on this",
+        "consistent units; solve_lp_resilient retries a numerical "
+        "failure once on a rescaled copy",
     ),
     "LP016": (
         Severity.WARNING,
         "row-norm-spread",
         "row infinity norms span >= 1e6 (mixed-unit rows); equilibrate "
         "the model (rescale_lp) or normalize the row producers; "
-        "solve_lp_resilient(rescale_retry=\"auto\") keys its rescale "
-        "retry on this",
+        "solve_lp_resilient retries a numerical failure once on a "
+        "rescaled copy",
     ),
     # --- TP: Topology structure ------------------------------------------
     "TP001": (

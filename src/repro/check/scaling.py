@@ -4,12 +4,10 @@ Badly scaled models — coefficient magnitudes spanning many orders, or
 rows whose infinity norms differ wildly — are the classic source of
 NUMERICAL outcomes in the simplex backends: pivot tolerances tuned for
 O(1) entries either reject valid pivots or accept catastrophic ones.
-The resilient chain already knows how to equilibrate and retry
-(:func:`repro.resilience.rescale_lp`); this module supplies the *advice*
-side: cheap, O(nnz) scaling statistics emitted as warning diagnostics by
-:func:`repro.check.check_lp`, and consumed by
-``solve_lp_resilient(..., rescale_retry="auto")`` to decide whether a
-rescale retry is worth attempting at all.
+The resilient chain retries every numerical failure once on a rescaled
+copy (:func:`repro.resilience.rescale_lp`); this module supplies the
+*advice* side: cheap, O(nnz) scaling statistics emitted as warning
+diagnostics by :func:`repro.check.check_lp`.
 
 The two statistics, and the stable codes that report them:
 
@@ -51,15 +49,6 @@ class ScalingAdvice:
     row_norm_spread: float
     max_abs_coefficient: float
     min_abs_coefficient: float
-
-    @property
-    def rescale_recommended(self) -> bool:
-        """True when either statistic crosses its warning threshold —
-        the signal ``rescale_retry="auto"`` keys on."""
-        return (
-            self.condition_estimate >= CONDITION_THRESHOLD
-            or self.row_norm_spread >= ROW_SPREAD_THRESHOLD
-        )
 
 
 def scaling_advice(lp: LinearProgram) -> ScalingAdvice:

@@ -97,6 +97,7 @@ def build_tree_lp(
     lower, upper = sink_windows(topo, bounds)
     lp.tree_meta = TreeLpMeta(
         parents=topo.parent_array(),
+        levels=tuple(level.nodes for level in topo.levels()),
         num_sinks=topo.num_sinks,
         su=su,
         sv=sv,

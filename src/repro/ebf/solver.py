@@ -42,6 +42,10 @@ from repro.lp.solve import preferred_backend
 _VIOLATION_TOL = 1e-6
 #: Slack of the exact post-solve checks (delay windows, Steiner rows).
 _CHECK_TOL = 1e-5
+#: Cap on the LP solves of one lazy row-generation loop (here and in
+#: :func:`repro.resilience.diagnose_infeasibility`); a loop that has not
+#: converged by then raises ``RuntimeError``.
+MAX_ROUNDS = 60
 
 #: Sink count from which a lazy, non-resilient ``backend="auto"`` solve
 #: without a warm store takes the direct tree path instead of the lazy
@@ -162,7 +166,6 @@ def solve_lubt(
     backend: str = "auto",
     mode: str = "lazy",
     batch: int = 4000,
-    max_rounds: int = 60,
     check_bounds: bool = True,
     validate: bool | str = True,
     keep_lp: bool = False,
@@ -198,7 +201,8 @@ def solve_lubt(
         ``"lazy"`` (Section 4.6 row generation, default) or ``"full"``
         (all C(m,2) Steiner rows up front).
     batch:
-        Most-violated rows added per lazy round.
+        Most-violated rows added per lazy round (at most
+        :data:`MAX_ROUNDS` rounds).
     check_bounds:
         Verify Definition 2.1's Eq. 3/4 validity conditions first.  Turn
         off to probe infeasible bound sets deliberately.
@@ -283,7 +287,6 @@ def solve_lubt(
         backend=backend,
         mode=mode,
         batch=batch,
-        max_rounds=max_rounds,
         validate=validate,
         keep_lp=keep_lp,
         resilient=resilient,
@@ -392,7 +395,7 @@ def solve_lubt(
             iters = 0
             e = None
             discovered: list[tuple[int, int, int]] = []
-            for rounds in range(1, max_rounds + 1):
+            for rounds in range(1, MAX_ROUNDS + 1):
                 result = _solve(lp, resolved).require_optimal()
                 iters += result.iterations
                 e = expand_edge_vector(topo, result.x)
@@ -425,7 +428,7 @@ def solve_lubt(
             else:
                 raise RuntimeError(
                     f"lazy row generation did not converge in "
-                    f"{max_rounds} rounds"
+                    f"{MAX_ROUNDS} rounds"
                 )
             assert e is not None
             if warm is not None:
@@ -515,7 +518,6 @@ def _handle_infeasible(topo, bounds, on_infeasible, retry_kwargs):
         backend=retry_kwargs["backend"],
         mode=retry_kwargs["mode"],
         batch=retry_kwargs["batch"],
-        max_rounds=retry_kwargs["max_rounds"],
         resilient=retry_kwargs["resilient"],
     )
     if on_infeasible == "diagnose":

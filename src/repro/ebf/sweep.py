@@ -104,13 +104,29 @@ class WarmStart:
         """Build a carry-over pre-loaded with rows (and a basis) known
         valid for the topology whose structural hash is ``key`` (server
         warm store)."""
-        ws = cls(key=key, basis=basis)
+        ws = cls(key=key)
+        ws.merge(pairs, basis)
+        return ws
+
+    def merge(
+        self,
+        pairs: Iterable[tuple[int, int, int]],
+        basis: tuple | None = None,
+    ) -> int:
+        """Append the rows not carried yet (dedup by orientation-
+        normalized ``(i, j)``, first discovery wins) and keep ``basis``
+        if given; returns the fresh-row count.  The key is not checked:
+        the caller vouches that the rows belong to this topology."""
+        fresh = 0
         for i, j, k in pairs:
             nk = (i, j) if i < j else (j, i)
-            if nk not in ws._seen:
-                ws._seen.add(nk)
-                ws.pairs.append((int(i), int(j), int(k)))
-        return ws
+            if nk not in self._seen:
+                self._seen.add(nk)
+                self.pairs.append((int(i), int(j), int(k)))
+                fresh += 1
+        if basis is not None:
+            self.basis = basis
+        return fresh
 
     def _rekey(self, topo) -> None:
         if topo is self.topology:
@@ -144,13 +160,7 @@ class WarmStart:
         """Merge rows a solve discovered (duplicates are dropped) and
         keep its final basis, if it has one."""
         self._rekey(topo)
-        for i, j, k in new_pairs:
-            key = (i, j) if i < j else (j, i)
-            if key not in self._seen:
-                self._seen.add(key)
-                self.pairs.append((i, j, k))
-        if basis is not None:
-            self.basis = basis
+        self.merge(new_pairs, basis)
         self.solves += 1
 
 

@@ -144,6 +144,9 @@ class TreeLpMeta:
 
     #: ``parents[v]`` is the parent node id of ``v``; ``parents[0] == 0``.
     parents: np.ndarray
+    #: The non-root node ids by depth, shallowest first
+    #: (:meth:`repro.topology.Topology.levels`).
+    levels: tuple[np.ndarray, ...]
     num_sinks: int
     #: Rotated sink coordinates ``u = x + y``, ``v = x - y`` by node id.
     su: np.ndarray
@@ -204,34 +207,6 @@ class CollapsedLp:
 
 def _infeasible(message: str) -> LpResult:
     return LpResult(LpStatus.INFEASIBLE, None, None, 0, "tree", message=message)
-
-
-def _tree_levels(parents: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The non-root nodes by depth, shallowest first, one NumPy step per
-    level (each node's children in increasing id order)."""
-    n = parents.shape[0]
-    cptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(parents[1:], minlength=n), out=cptr[1:])
-    kids = np.argsort(parents[1:], kind="stable").astype(np.int64) + 1
-    levels: list[np.ndarray] = []
-    frontier = np.zeros(1, dtype=np.int64)
-    reached = 1
-    while True:
-        start = cptr[frontier]
-        size = cptr[frontier + 1] - start
-        total = int(size.sum())
-        if total == 0:
-            break
-        # The frontier nodes' child ranges of ``kids``, concatenated.
-        shift = np.repeat(start - (np.cumsum(size) - size), size)
-        frontier = kids[np.arange(total, dtype=np.int64) + shift]
-        levels.append(frontier)
-        reached += total
-    if reached != n:
-        raise BackendCapabilityError(
-            "tree metadata parents array is not a rooted tree"
-        )
-    return tuple(levels)
 
 
 def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
@@ -308,8 +283,8 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
             f"window [{lb[j - 1]:g}, {ub[j - 1]:g}]"
         )
 
-    # ---- tree walks: depth levels, sink accounting --------------------
-    levels = _tree_levels(parents)
+    # ---- tree walks: sink accounting ----------------------------------
+    levels = meta.levels
     nsink = np.zeros(n, dtype=np.int64)
     nsink[1 : m + 1] = 1
     for level in reversed(levels):

@@ -23,8 +23,13 @@ class TaskError(RuntimeError):
     """A pooled task failed (worker exception, crash, or timeout)."""
 
 
+#: Worker crashes in a row after which a pool raises
+#: :class:`PoolCrashLoopError` instead of refilling seats forever.
+MAX_CONSECUTIVE_CRASHES = 5
+
+
 class PoolCrashLoopError(TaskError):
-    """Workers crashed ``max_consecutive_crashes`` times in a row.
+    """Workers crashed :data:`MAX_CONSECUTIVE_CRASHES` times in a row.
 
     A poison task (or a sick machine — OOM killer, bad native lib) that
     kills every worker it touches would otherwise respawn processes
@@ -206,20 +211,9 @@ class WorkerPool:
     always travel by pipe.
     """
 
-    def __init__(
-        self,
-        jobs: int = 2,
-        start_method: str | None = None,
-        *,
-        max_consecutive_crashes: int = 5,
-    ):
+    def __init__(self, jobs: int = 2, start_method: str | None = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if max_consecutive_crashes < 1:
-            raise ValueError(
-                f"max_consecutive_crashes must be >= 1, "
-                f"got {max_consecutive_crashes}"
-            )
         import threading
 
         self._ctx = _pool_context(start_method)
@@ -231,7 +225,6 @@ class WorkerPool:
         self._free = threading.Semaphore(jobs)
         self._lock = threading.Lock()
         self._closed = False
-        self._max_consecutive_crashes = max_consecutive_crashes
         self._consecutive_crashes = 0
         self.tasks_run = 0
         self.workers_replaced = 0
@@ -294,7 +287,7 @@ class WorkerPool:
         resubmits exactly those — not the whole chunk.  A worker crash
         mid-chunk is scoped the same way.
 
-        ``max_consecutive_crashes`` crashes in a row (timeouts and
+        :data:`MAX_CONSECUTIVE_CRASHES` crashes in a row (timeouts and
         reported exceptions don't count; any other outcome resets the
         streak) raise :class:`PoolCrashLoopError` *after* refilling the
         seat, so the pool survives its own circuit-break.
@@ -340,11 +333,11 @@ class WorkerPool:
             self._free.release()
         if offender is not None and on_item is not None:
             on_item(outcomes[offender])
-        if crashed and streak >= self._max_consecutive_crashes:
+        if crashed and streak >= MAX_CONSECUTIVE_CRASHES:
             fn_name = getattr(fn, "__name__", repr(fn))
             raise PoolCrashLoopError(
                 f"workers crashed {streak} times in a row "
-                f"(cap {self._max_consecutive_crashes}); last task: "
+                f"(cap {MAX_CONSECUTIVE_CRASHES}); last task: "
                 f"{fn_name}{_args_preview(args_list[offender])} — "
                 f"{outcomes[offender].error}"
             )

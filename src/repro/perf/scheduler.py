@@ -53,16 +53,8 @@ class BatchScheduler:
     a time.
     """
 
-    def __init__(
-        self,
-        pool: WorkerPool,
-        *,
-        chunk_seconds: float = DEFAULT_CHUNK_SECONDS,
-    ) -> None:
-        if chunk_seconds <= 0:
-            raise ValueError(f"chunk_seconds must be > 0, got {chunk_seconds}")
+    def __init__(self, pool: WorkerPool) -> None:
         self.pool = pool
-        self.chunk_seconds = chunk_seconds
         self._lock = threading.Lock()
         # EWMA of per-task seconds; None until the first completion, so
         # the first chunks are size 1 (probes) rather than a guess.
@@ -90,7 +82,7 @@ class BatchScheduler:
         if ewma is None:
             return 1
         return max(1, min(DEFAULT_MAX_CHUNK,
-                          int(self.chunk_seconds / max(ewma, 1e-9))))
+                          int(DEFAULT_CHUNK_SECONDS / max(ewma, 1e-9))))
 
     def stats(self) -> dict:
         """Scheduler + pool counters (``ewma_task_seconds`` may be None)."""

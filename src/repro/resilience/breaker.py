@@ -5,12 +5,13 @@ being *tried*: every attempt against it costs the wall clock of a
 failing call plus its rescaled retry, and under load that latency
 multiplies across every queued request.  A :class:`CircuitBreaker`
 watches one backend's consecutive failures and trips **open** after
-``failure_threshold`` of them; while open, :func:`~repro.resilience.
-solve_lp_resilient` skips the backend outright (recording a
-``skipped`` :class:`~repro.resilience.SolveAttempt` so the report says
-why).  After ``recovery_time`` seconds the breaker lets exactly one
-**half-open probe** through: a success closes the circuit, a failure
-re-opens it for another recovery window.
+:data:`DEFAULT_FAILURE_THRESHOLD` of them; while open,
+:func:`~repro.resilience.solve_lp_resilient` skips the backend outright
+(recording a ``skipped`` :class:`~repro.resilience.SolveAttempt` so the
+report says why).  After :data:`DEFAULT_RECOVERY_TIME` seconds the
+breaker lets exactly one **half-open probe** through: a success closes
+the circuit, a failure re-opens it for another recovery window.  Both
+are module constants, not options.
 
 Design notes:
 
@@ -49,8 +50,6 @@ class CircuitBreaker:
 
     __slots__ = (
         "name",
-        "failure_threshold",
-        "recovery_time",
         "_clock",
         "state",
         "consecutive_failures",
@@ -61,24 +60,9 @@ class CircuitBreaker:
     )
 
     def __init__(
-        self,
-        name: str,
-        *,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-        recovery_time: float = DEFAULT_RECOVERY_TIME,
-        clock: Callable[[], float] = time.monotonic,
+        self, name: str, *, clock: Callable[[], float] = time.monotonic
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if recovery_time < 0:
-            raise ValueError(
-                f"recovery_time must be >= 0, got {recovery_time}"
-            )
         self.name = name
-        self.failure_threshold = failure_threshold
-        self.recovery_time = recovery_time
         self._clock = clock
         self.state = CLOSED
         self.consecutive_failures = 0
@@ -101,7 +85,7 @@ class CircuitBreaker:
             return True
         if self.state == OPEN:
             assert self.opened_at is not None
-            if self._clock() - self.opened_at >= self.recovery_time:
+            if self._clock() - self.opened_at >= DEFAULT_RECOVERY_TIME:
                 self.state = HALF_OPEN
                 self.probes += 1
                 return True
@@ -121,7 +105,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if (
             self.state == HALF_OPEN
-            or self.consecutive_failures >= self.failure_threshold
+            or self.consecutive_failures >= DEFAULT_FAILURE_THRESHOLD
         ):
             # A failed probe re-opens immediately; a closed breaker trips
             # once the consecutive-failure threshold is met.
@@ -149,14 +133,8 @@ class BreakerRegistry:
     """
 
     def __init__(
-        self,
-        *,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-        recovery_time: float = DEFAULT_RECOVERY_TIME,
-        clock: Callable[[], float] = time.monotonic,
+        self, *, clock: Callable[[], float] = time.monotonic
     ) -> None:
-        self.failure_threshold = failure_threshold
-        self.recovery_time = recovery_time
         self._clock = clock
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
@@ -166,12 +144,7 @@ class BreakerRegistry:
         # the per-file CC002 inference cannot see across methods.
         br = self._breakers.get(name)
         if br is None:
-            br = CircuitBreaker(
-                name,
-                failure_threshold=self.failure_threshold,
-                recovery_time=self.recovery_time,
-                clock=self._clock,
-            )
+            br = CircuitBreaker(name, clock=self._clock)
             self._breakers[name] = br  # noqa: CC002 — callers hold _lock
         return br
 

@@ -37,6 +37,7 @@ from repro.ebf.constraints import (
     steiner_violations,
 )
 from repro.ebf.formulation import add_steiner_rows, edge_var
+from repro.ebf.solver import MAX_ROUNDS
 from repro.geometry import manhattan
 from repro.lp import LinearProgram, Sense, solve_lp
 
@@ -178,15 +179,15 @@ def diagnose_infeasibility(
     backend: str = "auto",
     mode: str = "lazy",
     batch: int = 4000,
-    max_rounds: int = 60,
-    slack_tol: float = _SLACK_TOL,
     resilient: bool = False,
 ) -> InfeasibilityDiagnosis:
     """Solve the elastic EBF and report the minimal per-sink relaxation.
 
-    ``mode``/``batch``/``max_rounds`` mirror :func:`repro.ebf.solve_lubt`
-    (lazy Steiner row generation by default).  With ``resilient=True``
-    the elastic LP itself goes through the backend fallback chain.
+    ``mode``/``batch`` mirror :func:`repro.ebf.solve_lubt` (lazy Steiner
+    row generation by default, at most
+    :data:`~repro.ebf.solver.MAX_ROUNDS` rounds).  With
+    ``resilient=True`` the elastic LP itself goes through the backend
+    fallback chain.
     """
     if mode not in ("lazy", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -214,7 +215,7 @@ def diagnose_infeasibility(
 
     n_edges = topo.num_nodes - 1
     result = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         result = _solve(lp).require_optimal()
         e = np.zeros(topo.num_nodes)
         e[1:] = np.maximum(result.x[:n_edges], 0.0)
@@ -224,7 +225,7 @@ def diagnose_infeasibility(
         add_steiner_rows(lp, topo, [(i, j) for i, j, _ in violated])
     else:
         raise RuntimeError(
-            f"elastic row generation did not converge in {max_rounds} rounds"
+            f"elastic row generation did not converge in {MAX_ROUNDS} rounds"
         )
 
     scale = 1.0
@@ -232,7 +233,7 @@ def diagnose_infeasibility(
     if finite_hi.size:
         scale = max(scale, float(np.abs(finite_hi).max()))
     scale = max(scale, float(np.abs(bounds.lower).max(initial=0.0)))
-    threshold = slack_tol * scale
+    threshold = _SLACK_TOL * scale
     pad = threshold  # cushion so the relaxed re-solve isn't borderline
 
     x = result.x

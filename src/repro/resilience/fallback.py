@@ -167,16 +167,18 @@ def solve_lp_resilient(
     backends: Sequence[str] | None = None,
     *,
     solvers: Mapping[str, Backend] | None = None,
-    rescale_retry: bool | str = True,
-    confirm_infeasible: bool = False,
-    raise_on_failure: bool = True,
     breakers: BreakerRegistry | None = None,
 ) -> SolveReport:
     """Solve ``lp`` through a backend cascade; never die on one backend.
 
     Attempts run one after another on the caller's thread; a stalled
     backend is waited out, not abandoned (see the module docstring for
-    where hard time bounds come from).
+    where hard time bounds come from).  A numerical failure (``ERROR``
+    status, invalid "optimal" solution, or a backend exception other
+    than :class:`BackendCapabilityError`) earns one retry of the same
+    backend on a unit-magnitude rescaled copy (:func:`rescale_lp`)
+    before the cascade falls through.  An INFEASIBLE or UNBOUNDED
+    verdict is as terminal as an OPTIMAL one.
 
     Parameters
     ----------
@@ -186,24 +188,6 @@ def solve_lp_resilient(
     solvers:
         Overrides/extensions of :func:`default_solvers` — this is the
         seam the fault-injection harness uses.
-    rescale_retry:
-        On a numerical failure (``ERROR`` status, invalid "optimal"
-        solution, or a backend exception other than
-        :class:`BackendCapabilityError`), retry the same backend once on
-        a unit-magnitude rescaled copy before falling through.
-        ``"auto"`` consults the LP scaling advisor
-        (:func:`repro.check.scaling_advice`, the LP015/LP016 statistics)
-        on the first numerical failure and retries only when the model
-        is actually badly scaled — a numerical failure on a well-scaled
-        model falls through to the next backend immediately instead of
-        paying for a rescaled attempt that cannot help.
-    confirm_infeasible:
-        Treat an INFEASIBLE verdict from a non-final backend as suspect
-        and seek a second opinion; a later OPTIMAL overrides it.
-    raise_on_failure:
-        Raise :class:`AllBackendsFailedError` (carrying the report) when
-        no backend produced a definitive result; otherwise return the
-        report with ``result=None``.
     breakers:
         Optional :class:`~repro.resilience.breaker.BreakerRegistry`.
         When given, an open-circuited backend is skipped outright (a
@@ -215,26 +199,11 @@ def solve_lp_resilient(
         is a permanent fact about the model's shape, not backend health.
 
     Returns the :class:`SolveReport`; ``report.result`` is the terminal
-    :class:`LpResult`.  Feasibility validation uses
-    :data:`FEASIBILITY_TOL` scaled by ``1 +`` the model's largest rhs
-    magnitude.
+    :class:`LpResult`.  Raises :class:`AllBackendsFailedError`, carrying
+    the report, when no backend reached a terminal verdict.  Feasibility
+    validation uses :data:`FEASIBILITY_TOL` scaled by ``1 +`` the
+    model's largest rhs magnitude.
     """
-    if rescale_retry not in (True, False, "auto"):
-        raise ValueError(f"unknown rescale_retry mode {rescale_retry!r}")
-
-    # "auto" decides from the scaling advisor, lazily (first numerical
-    # failure) and once — the statistics are a property of the model.
-    _rescale_wanted: bool | None = (
-        None if rescale_retry == "auto" else bool(rescale_retry)
-    )
-
-    def _want_rescale() -> bool:
-        nonlocal _rescale_wanted
-        if _rescale_wanted is None:
-            from repro.check.scaling import scaling_advice
-
-            _rescale_wanted = scaling_advice(lp).rescale_recommended
-        return _rescale_wanted
     solver_map = dict(default_solvers())
     if solvers:
         solver_map.update(solvers)
@@ -250,17 +219,15 @@ def solve_lp_resilient(
 
     report = SolveReport()
     scaled_pair: tuple[LinearProgram, float] | None = None
-    pending_infeasible: LpResult | None = None
 
-    for pos, name in enumerate(chain):
+    for name in chain:
         if breakers is not None and not breakers.allow(name):
             report.attempts.append(SolveAttempt(
                 name, AttemptOutcome.SKIPPED, 0.0,
                 error="circuit breaker open — backend not attempted",
             ))
             continue
-        rescaled = False
-        while True:
+        for rescaled in (False, True):
             if rescaled:
                 if scaled_pair is None:
                     scaled_pair = rescale_lp(lp)
@@ -283,10 +250,7 @@ def solve_lp_resilient(
                     error=f"{type(exc).__name__}: {exc}",
                 ))
                 _breaker_record(breakers, name, AttemptOutcome.EXCEPTION)
-                if not rescaled and _want_rescale():
-                    rescaled = True
-                    continue
-                break
+                continue
             elapsed = time.perf_counter() - start
             result = _unscale_result(raw, s, lp) if rescaled else raw
             outcome = _validated_outcome(lp, result, feas_tol)
@@ -299,33 +263,13 @@ def solve_lp_resilient(
             ))
             _breaker_record(breakers, name, outcome)
             if outcome in AttemptOutcome.TERMINAL:
-                if (
-                    outcome is AttemptOutcome.INFEASIBLE
-                    and confirm_infeasible
-                    and pos < len(chain) - 1
-                ):
-                    if pending_infeasible is None:
-                        pending_infeasible = result
-                    break  # seek a second opinion
                 report.result = result
                 if breakers is not None:
                     report.breaker_states = breakers.states()
                 return report
-            if (
-                outcome in AttemptOutcome.NUMERICAL
-                and not rescaled
-                and _want_rescale()
-            ):
-                rescaled = True
-                continue
-            break
+            # Every other outcome (ERROR, INVALID) is numerical, like a
+            # crash: the rescaled retry runs next, once.
 
     if breakers is not None:
         report.breaker_states = breakers.states()
-    if pending_infeasible is not None:
-        # Only one backend could weigh in; its verdict stands.
-        report.result = pending_infeasible
-        return report
-    if raise_on_failure:
-        raise AllBackendsFailedError(report)
-    return report
+    raise AllBackendsFailedError(report)

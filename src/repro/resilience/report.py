@@ -32,8 +32,6 @@ class AttemptOutcome:
 
     #: Outcomes that settle the model's fate — no further attempts needed.
     TERMINAL = frozenset({OPTIMAL, INFEASIBLE, UNBOUNDED})
-    #: Outcomes worth a same-backend retry after rescaling (numerics).
-    NUMERICAL = frozenset({ERROR, INVALID})
     #: Outcomes a circuit breaker counts against the backend.  Definitive
     #: answers prove the backend works (the model's feasibility is not its
     #: fault); SKIPPED attempts never ran, so they count neither way.

@@ -82,7 +82,6 @@ ALLOWED_OPTIONS = frozenset(
         "mode",
         "backend",
         "batch",
-        "max_rounds",
         "check_bounds",
         "validate",
         "resilient",

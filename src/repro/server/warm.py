@@ -15,9 +15,13 @@ connection — starts from it.  Two kinds of state are kept per topology:
   pivots instead of hundreds.  It is only a starting point: the exact
   post-checks run on every answer.
 
-The hash-rekeyed ``WarmStart`` refuses state whose key doesn't match
-the topology it is handed.  The store holds at most ``max_topologies``
-topologies and evicts the least recently used one first.
+The store keeps one :class:`WarmStart` per structural hash and merges
+into it with that class's row dedup.  Requests get snapshots
+(:meth:`WarmStore.carried`), never the stored objects, and the
+hash-rekeyed ``WarmStart`` they seed refuses state whose key doesn't
+match the topology it is handed.  The store holds at most
+:data:`MAX_TOPOLOGIES` topologies and evicts the least recently used
+one first.
 """
 
 from __future__ import annotations
@@ -30,19 +34,17 @@ from repro.ebf.sweep import WarmStart
 
 Pair = tuple[int, int, int]
 
+#: Topologies a :class:`WarmStore` keeps before evicting.
+MAX_TOPOLOGIES = 512
+
 
 class WarmStore:
     """Accumulated Steiner rows and tree-LP bases per topology hash
     (thread-safe, least-recently-used eviction)."""
 
-    def __init__(self, max_topologies: int = 512):
-        if max_topologies < 1:
-            raise ValueError("max_topologies must be >= 1")
-        self._max = max_topologies
-        #: Rows per topology, least recently used first.
-        self._rows: OrderedDict[str, list[Pair]] = OrderedDict()
-        self._seen: dict[str, set[tuple[int, int]]] = {}
-        self._bases: dict[str, tuple] = {}
+    def __init__(self) -> None:
+        #: One carry-over per topology, least recently used first.
+        self._warm: OrderedDict[str, WarmStart] = OrderedDict()
         self._lock = threading.Lock()
         self.absorbed = 0
 
@@ -50,10 +52,11 @@ class WarmStore:
         """A snapshot ``(rows, basis)`` for ``key`` (no rows and no
         basis when unknown); marks ``key`` as recently used."""
         with self._lock:
-            if key not in self._rows:
+            ws = self._warm.get(key)
+            if ws is None:
                 return [], None
-            self._rows.move_to_end(key)
-            return list(self._rows[key]), self._bases.get(key)
+            self._warm.move_to_end(key)
+            return list(ws.pairs), ws.basis
 
     def pairs(self, key: str) -> list[Pair]:
         """A snapshot of the carried rows for ``key`` (possibly empty)."""
@@ -67,43 +70,30 @@ class WarmStore:
         self, key: str, pairs: Iterable[Pair], basis: tuple | None = None
     ) -> int:
         """Merge rows a solve discovered and keep its basis (if any);
-        returns the fresh-row count.
-
-        Dedup is by orientation-normalized ``(i, j)`` — the same rule
-        the lazy loop and ``WarmStart`` use — so replayed rows are free.
-        """
-        fresh = 0
+        returns the fresh-row count (:meth:`WarmStart.merge`, so
+        replayed rows are free)."""
         with self._lock:
-            if key in self._rows:
-                self._rows.move_to_end(key)
+            ws = self._warm.get(key)
+            if ws is None:
+                if len(self._warm) >= MAX_TOPOLOGIES:
+                    self._warm.popitem(last=False)
+                ws = self._warm[key] = WarmStart(key=key)
             else:
-                if len(self._rows) >= self._max:
-                    old, _ = self._rows.popitem(last=False)
-                    del self._seen[old]
-                    self._bases.pop(old, None)
-                self._rows[key] = []
-                self._seen[key] = set()
-            rows, seen = self._rows[key], self._seen[key]
-            for i, j, k in pairs:
-                nk = (i, j) if i < j else (j, i)
-                if nk not in seen:
-                    seen.add(nk)
-                    rows.append((int(i), int(j), int(k)))
-                    fresh += 1
-            if basis is not None:
-                self._bases[key] = basis
+                self._warm.move_to_end(key)
+            fresh = ws.merge(pairs, basis)
             self.absorbed += fresh
         return fresh
 
     def rows(self, key: str) -> int:
         with self._lock:
-            return len(self._rows.get(key, ()))
+            ws = self._warm.get(key)
+            return 0 if ws is None else len(ws.pairs)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
-                "topologies": len(self._rows),
-                "total_rows": sum(len(r) for r in self._rows.values()),
+                "topologies": len(self._warm),
+                "total_rows": sum(len(w.pairs) for w in self._warm.values()),
                 "absorbed": self.absorbed,
-                "bases": len(self._bases),
+                "bases": sum(w.basis is not None for w in self._warm.values()),
             }

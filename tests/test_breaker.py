@@ -1,7 +1,6 @@
 """Circuit breakers: state machine, registry, and solve integration."""
 
 import numpy as np
-import pytest
 
 from repro.ebf import DelayBounds, solve_lubt
 from repro.ebf.bounds import radius_of
@@ -30,6 +29,12 @@ class FakeClock:
         self.t += dt
 
 
+def trip(breaker):
+    """Three failures in a row: the production threshold."""
+    for _ in range(3):
+        breaker.record_failure()
+
+
 def small_instance(sinks=8, seed=5):
     rng = np.random.default_rng(seed)
     pts = [Point(float(x), float(y)) for x, y in rng.integers(0, 60, (sinks, 2))]
@@ -48,7 +53,7 @@ class TestCircuitBreaker:
         assert b.allow()
 
     def test_opens_after_threshold_consecutive_failures(self):
-        b = CircuitBreaker("x", failure_threshold=3, clock=FakeClock())
+        b = CircuitBreaker("x", clock=FakeClock())
         b.record_failure()
         b.record_failure()
         assert b.state == "closed" and b.allow()
@@ -57,7 +62,7 @@ class TestCircuitBreaker:
         assert not b.allow()
 
     def test_success_resets_the_streak(self):
-        b = CircuitBreaker("x", failure_threshold=3, clock=FakeClock())
+        b = CircuitBreaker("x", clock=FakeClock())
         b.record_failure()
         b.record_failure()
         b.record_success()
@@ -67,23 +72,21 @@ class TestCircuitBreaker:
 
     def test_half_open_after_recovery_allows_one_probe(self):
         clock = FakeClock()
-        b = CircuitBreaker(
-            "x", failure_threshold=1, recovery_time=10.0, clock=clock
-        )
-        b.record_failure()
+        b = CircuitBreaker("x", clock=clock)
+        trip(b)
         assert not b.allow()
-        clock.advance(10.5)
+        clock.advance(29.5)
+        assert not b.allow()  # the 30 s recovery window is still open
+        clock.advance(1.0)
         assert b.allow()  # the single half-open probe
         assert b.state == "half-open"
         assert not b.allow()  # second caller inside the window is refused
 
     def test_failed_probe_reopens(self):
         clock = FakeClock()
-        b = CircuitBreaker(
-            "x", failure_threshold=1, recovery_time=10.0, clock=clock
-        )
-        b.record_failure()
-        clock.advance(11.0)
+        b = CircuitBreaker("x", clock=clock)
+        trip(b)
+        clock.advance(31.0)
         assert b.allow()
         b.record_failure()
         assert b.state == "open"
@@ -92,11 +95,9 @@ class TestCircuitBreaker:
 
     def test_successful_probe_closes(self):
         clock = FakeClock()
-        b = CircuitBreaker(
-            "x", failure_threshold=1, recovery_time=10.0, clock=clock
-        )
-        b.record_failure()
-        clock.advance(11.0)
+        b = CircuitBreaker("x", clock=clock)
+        trip(b)
+        clock.advance(31.0)
         assert b.allow()
         b.record_success()
         assert b.state == "closed"
@@ -104,12 +105,10 @@ class TestCircuitBreaker:
 
     def test_snapshot_counts(self):
         clock = FakeClock()
-        b = CircuitBreaker(
-            "x", failure_threshold=1, recovery_time=5.0, clock=clock
-        )
-        b.record_failure()
+        b = CircuitBreaker("x", clock=clock)
+        trip(b)
         b.allow()  # refused -> skip
-        clock.advance(6.0)
+        clock.advance(31.0)
         b.allow()  # probe
         snap = b.snapshot()
         assert snap["state"] == "half-open"
@@ -117,26 +116,21 @@ class TestCircuitBreaker:
         assert snap["probes"] == 1
         assert snap["skips"] == 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", recovery_time=-1.0)
-
 
 class TestBreakerRegistry:
     def test_lazy_per_name_breakers(self):
-        reg = BreakerRegistry(failure_threshold=2, clock=FakeClock())
+        reg = BreakerRegistry(clock=FakeClock())
         assert reg.allow("a") and reg.allow("b")
-        reg.record("a", False)
-        reg.record("a", False)
+        for _ in range(3):
+            reg.record("a", False)
         assert not reg.allow("a")
         assert reg.allow("b")  # independent breaker
         assert reg.states() == {"a": "open", "b": "closed"}
 
     def test_reset(self):
-        reg = BreakerRegistry(failure_threshold=1, clock=FakeClock())
-        reg.record("a", False)
+        reg = BreakerRegistry(clock=FakeClock())
+        for _ in range(3):
+            reg.record("a", False)
         assert not reg.allow("a")
         reg.reset()
         assert reg.allow("a")
@@ -161,14 +155,15 @@ class TestSolveIntegration:
 
     def test_open_breaker_is_skipped_without_paying_the_failure(self):
         clock = FakeClock()
-        reg = BreakerRegistry(failure_threshold=2, clock=clock)
+        reg = BreakerRegistry(clock=clock)
         faulty = FaultyBackend(solve_simplex, [ExceptionFault()] * 4,
                                name="simplex")
         solvers = {"simplex": faulty}
         lp = _lp()
         chain = backend_chain(lp)
 
-        # Two failing solves open the simplex breaker...
+        # Two failing solves (an attempt and its rescaled retry each)
+        # open the simplex breaker...
         for _ in range(2):
             report = solve_lp_resilient(
                 lp, chain, solvers=solvers, breakers=reg
@@ -190,20 +185,21 @@ class TestSolveIntegration:
 
     def test_recovered_backend_closes_via_probe(self):
         clock = FakeClock()
-        reg = BreakerRegistry(
-            failure_threshold=1, recovery_time=10.0, clock=clock
-        )
-        # Two faults: the attempt AND its rescale retry must fail, or
-        # the retry's success resets the streak before the breaker opens.
-        faulty = FaultyBackend(solve_simplex, [ExceptionFault()] * 2,
+        reg = BreakerRegistry(clock=clock)
+        # Four faults over two solves: every attempt AND its rescale
+        # retry must fail, or a retry's success resets the streak before
+        # the breaker opens at the third failure.
+        faulty = FaultyBackend(solve_simplex, [ExceptionFault()] * 4,
                                name="simplex")
         solvers = {"simplex": faulty}
         lp = _lp()
         chain = backend_chain(lp)
 
         solve_lp_resilient(lp, chain, solvers=solvers, breakers=reg)
+        assert reg.states()["simplex"] == "closed"
+        solve_lp_resilient(lp, chain, solvers=solvers, breakers=reg)
         assert reg.states()["simplex"] == "open"
-        clock.advance(11.0)  # schedule exhausted: the probe will succeed
+        clock.advance(31.0)  # schedule exhausted: the probe will succeed
         report = solve_lp_resilient(
             lp, chain, solvers=solvers, breakers=reg
         )
@@ -213,7 +209,7 @@ class TestSolveIntegration:
 
     def test_solve_lubt_stamps_breaker_states(self):
         topo, bounds = small_instance()
-        reg = BreakerRegistry(failure_threshold=2, clock=FakeClock())
+        reg = BreakerRegistry(clock=FakeClock())
         sol = solve_lubt(topo, bounds, resilient=True, breakers=reg)
         assert sol.solve_reports
         for report in sol.solve_reports:
@@ -221,7 +217,7 @@ class TestSolveIntegration:
 
     def test_faulty_backend_opens_breaker_visible_in_report(self):
         topo, bounds = small_instance()
-        reg = BreakerRegistry(failure_threshold=3, clock=FakeClock())
+        reg = BreakerRegistry(clock=FakeClock())
         solvers = {
             "simplex": FaultyBackend(
                 solve_simplex, [ExceptionFault()] * 50, name="simplex"

@@ -1,9 +1,8 @@
-"""LP scaling advisor (LP015/LP016) and ``rescale_retry="auto"``.
+"""LP scaling advisor (LP015/LP016) and the rescaled retry.
 
-The advisor's statistics drive two warning diagnostics and the lazy
-auto-rescale decision in the resilient fallback chain: a numerical
-failure on a well-scaled model skips the rescaled retry entirely, while
-a badly scaled model earns one.
+The advisor's statistics drive two warning diagnostics.  The resilient
+fallback chain gives every numerical failure one rescaled retry, on a
+badly scaled model and a well-scaled one alike.
 """
 
 import pytest
@@ -40,20 +39,17 @@ class TestScalingAdvice:
         assert advice.row_norm_spread == pytest.approx(1.0)
         assert advice.max_abs_coefficient == pytest.approx(2.0)
         assert advice.min_abs_coefficient == pytest.approx(1.0)
-        assert not advice.rescale_recommended
 
     def test_badly_scaled_statistics(self):
         advice = scaling_advice(badly_scaled_lp())
         assert advice.condition_estimate == pytest.approx(1e12)
         assert advice.row_norm_spread == pytest.approx(1e12)
-        assert advice.rescale_recommended
 
     def test_empty_model_is_neutral(self):
         lp = LinearProgram()
         lp.add_variable("x", cost=1.0)
         advice = scaling_advice(lp)
         assert advice == ScalingAdvice(1.0, 1.0, 0.0, 0.0)
-        assert not advice.rescale_recommended
 
     def test_condition_alone_recommends(self):
         # One row mixing 1e-6 and 1e6 entries: huge condition estimate,
@@ -65,7 +61,8 @@ class TestScalingAdvice:
         advice = scaling_advice(lp)
         assert advice.condition_estimate >= CONDITION_THRESHOLD
         assert advice.row_norm_spread == pytest.approx(1.0)
-        assert advice.rescale_recommended
+        codes = {d.code for d in check_lp(lp)}
+        assert "LP015" in codes and "LP016" not in codes
 
     def test_thresholds_are_the_documented_constants(self):
         assert CONDITION_THRESHOLD == 1e10
@@ -91,22 +88,7 @@ class TestDiagnostics:
 
 
 class TestAutoRescaleRetry:
-    def test_auto_skips_rescale_on_well_scaled_failure(self):
-        solvers = faults.faulty_solvers(
-            {"simplex": [faults.WrongStatusFault(LpStatus.ERROR)]}
-        )
-        report = solve_lp_resilient(
-            well_scaled_lp(), ("simplex", "scipy"),
-            solvers=solvers, rescale_retry="auto",
-        )
-        assert report.result.is_optimal
-        # No rescaled attempt: the advisor said equilibration can't help.
-        assert [(a.outcome, a.rescaled) for a in report.attempts] == [
-            (AttemptOutcome.ERROR, False),
-            (AttemptOutcome.OPTIMAL, False),
-        ]
-
-    def test_auto_rescales_on_badly_scaled_failure(self):
+    def test_rescales_on_badly_scaled_failure(self):
         solvers = faults.faulty_solvers(
             {"simplex": [
                 faults.WrongStatusFault(LpStatus.ERROR),
@@ -114,8 +96,7 @@ class TestAutoRescaleRetry:
             ]}
         )
         report = solve_lp_resilient(
-            badly_scaled_lp(), ("simplex", "scipy"),
-            solvers=solvers, rescale_retry="auto",
+            badly_scaled_lp(), ("simplex", "scipy"), solvers=solvers
         )
         assert report.result.is_optimal
         assert [(a.outcome, a.rescaled) for a in report.attempts] == [
@@ -132,11 +113,6 @@ class TestAutoRescaleRetry:
             ]}
         )
         report = solve_lp_resilient(
-            well_scaled_lp(), ("simplex", "scipy"),
-            solvers=solvers, rescale_retry=True,
+            well_scaled_lp(), ("simplex", "scipy"), solvers=solvers
         )
         assert [a.rescaled for a in report.attempts] == [False, True, False]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="rescale_retry"):
-            solve_lp_resilient(well_scaled_lp(), rescale_retry="sometimes")

@@ -44,9 +44,11 @@ class TestSolverMisuse:
                 weights=np.ones(3),
             )
 
-    def test_lazy_round_exhaustion(self):
-        """Starving the lazy loop (batch=1, max_rounds=2) on an instance
-        known to need many rounds raises the non-convergence error."""
+    def test_lazy_round_exhaustion(self, monkeypatch):
+        """Starving the lazy loop (batch=1, a round cap of 2) on an
+        instance known to need many rounds raises the non-convergence
+        error."""
+        monkeypatch.setattr("repro.ebf.solver.MAX_ROUNDS", 2)
         rng = np.random.default_rng(2)
         pts = [
             Point(float(x), float(y)) for x, y in rng.integers(0, 50, (24, 2))
@@ -60,7 +62,6 @@ class TestSolverMisuse:
                 mode="lazy",
                 backend="scipy",
                 batch=1,
-                max_rounds=2,
             )
 
     def test_zero_edge_out_of_range(self):

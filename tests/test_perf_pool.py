@@ -405,7 +405,7 @@ class TestBatchScheduler:
 
     def test_chunks_grow_from_ewma(self):
         with WorkerPool(jobs=1) as pool:
-            sched = BatchScheduler(pool, chunk_seconds=0.5)
+            sched = BatchScheduler(pool)
             sched.run(_square, [(i,) for i in range(64)])
             stats = sched.stats()
         # Fast tasks -> the EWMA drives chunks far beyond size-1 probes,
@@ -416,7 +416,7 @@ class TestBatchScheduler:
 
     def test_timeout_survivors_are_resubmitted(self):
         with WorkerPool(jobs=1) as pool:
-            sched = BatchScheduler(pool, chunk_seconds=5.0)
+            sched = BatchScheduler(pool)
             outs = sched.run(
                 _sleep_if_three, [(i,) for i in range(6)], timeout=1.0
             )
@@ -474,36 +474,34 @@ class TestCrashLoopCap:
     fork storm — while isolated crashes keep being absorbed."""
 
     def test_consecutive_crashes_hit_the_cap(self):
-        with WorkerPool(jobs=1, max_consecutive_crashes=3) as pool:
-            for _ in range(2):
+        with WorkerPool(jobs=1) as pool:
+            for _ in range(4):
                 out = pool.submit(_die_without_payload, (9,))
                 assert out.crashed
             with pytest.raises(PoolCrashLoopError) as err:
                 pool.submit(_die_without_payload, (9,))
-            assert "3 times in a row" in str(err.value)
+            assert "5 times in a row" in str(err.value)
             assert "_die_without_payload" in str(err.value)
             # The seat was refilled before raising: the pool survives.
             assert pool.submit(_square, (5,)).unwrap() == 25
-            assert pool.workers_replaced == 3
+            assert pool.workers_replaced == 5
 
     def test_successes_reset_the_crash_streak(self):
-        with WorkerPool(jobs=1, max_consecutive_crashes=2) as pool:
-            for _ in range(3):
-                assert pool.submit(_die_without_payload, (9,)).crashed
+        with WorkerPool(jobs=1) as pool:
+            for _ in range(2):
+                for _ in range(4):
+                    assert pool.submit(_die_without_payload, (9,)).crashed
                 assert pool.submit(_square, (2,)).unwrap() == 4
-        assert pool.workers_replaced == 3  # never two in a row -> no raise
+        assert pool.workers_replaced == 8  # never five in a row -> no raise
 
     def test_timeouts_do_not_count_toward_the_cap(self):
-        with WorkerPool(jobs=1, max_consecutive_crashes=2) as pool:
-            assert pool.submit(_die_without_payload, (9,)).crashed
+        with WorkerPool(jobs=1) as pool:
+            for _ in range(4):
+                assert pool.submit(_die_without_payload, (9,)).crashed
             assert pool.submit(_sleep_forever, (0,), timeout=0.3).timed_out
             # A timeout broke the crash streak: one more crash is fine.
             assert pool.submit(_die_without_payload, (9,)).crashed
             assert pool.submit(_square, (3,)).unwrap() == 9
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(jobs=1, max_consecutive_crashes=0)
 
 
 class TestWorkerProcesses:

@@ -72,18 +72,20 @@ class TestInjectedFaults:
     """One scenario per fault class; every attempt must be on the record."""
 
     def test_exception_fault_falls_through(self):
+        # Two faults: the raw attempt and its rescaled retry both crash.
         solvers = faults.faulty_solvers(
-            {"simplex": [faults.ExceptionFault("injected crash")]}
+            {"simplex": [faults.ExceptionFault("injected crash")] * 2}
         )
         report = solve_lp_resilient(
-            small_lp(), ("simplex", "scipy"),
-            solvers=solvers, rescale_retry=False,
+            small_lp(), ("simplex", "scipy"), solvers=solvers
         )
         assert report.result.is_optimal
         assert report.result.objective == pytest.approx(2.0)
         assert report.result.backend == "scipy-highs"
-        assert [a.outcome for a in report.attempts] == [
-            AttemptOutcome.EXCEPTION, AttemptOutcome.OPTIMAL,
+        assert [(a.outcome, a.rescaled) for a in report.attempts] == [
+            (AttemptOutcome.EXCEPTION, False),
+            (AttemptOutcome.EXCEPTION, True),
+            (AttemptOutcome.OPTIMAL, False),
         ]
         assert "injected crash" in report.attempts[0].error
 
@@ -109,8 +111,7 @@ class TestInjectedFaults:
             {"simplex": [faults.NanSolutionFault()]}
         )
         report = solve_lp_resilient(
-            small_lp(), ("simplex", "scipy"),
-            solvers=solvers, rescale_retry=False,
+            small_lp(), ("simplex", "scipy"), solvers=solvers
         )
         assert report.result.is_optimal
         assert np.all(np.isfinite(report.result.x))
@@ -138,53 +139,55 @@ class TestInjectedFaults:
     def test_every_fault_class_at_once(self):
         """Acceptance scenario: first backend exhausts its whole fault
         repertoire across successive LPs; the chain never fails."""
-        schedule = [
-            faults.ExceptionFault(),
-            faults.NanSolutionFault(),
-            faults.WrongStatusFault(LpStatus.ERROR),
+        classes = [
+            (faults.ExceptionFault(), AttemptOutcome.EXCEPTION),
+            (faults.NanSolutionFault(), AttemptOutcome.INVALID),
+            (faults.WrongStatusFault(LpStatus.ERROR), AttemptOutcome.ERROR),
         ]
+        # Each fault twice: the raw attempt and its rescaled retry.
+        schedule = [fault for fault, _ in classes for _ in range(2)]
         wrapped = faults.FaultyBackend(
             default_solvers()["simplex"], schedule, name="simplex"
         )
-        for _ in schedule:
+        for _, outcome in classes:
             report = solve_lp_resilient(
                 small_lp(), ("simplex", "scipy"),
-                solvers={"simplex": wrapped}, rescale_retry=False,
+                solvers={"simplex": wrapped},
             )
             assert report.result.is_optimal
             assert report.result.objective == pytest.approx(2.0)
+            assert [(a.outcome, a.rescaled) for a in report.attempts] == [
+                (outcome, False),
+                (outcome, True),
+                (AttemptOutcome.OPTIMAL, False),
+            ]
         assert wrapped.calls == len(schedule)
         assert len(wrapped.injected) == len(schedule)
 
 
 class TestTotalFailure:
     def test_all_backends_down_raises_with_report(self):
+        # Two faults per backend: each attempt and its rescaled retry.
         solvers = faults.faulty_solvers({
-            "simplex": [faults.ExceptionFault("s down")],
-            "scipy": [faults.ExceptionFault("h down")],
+            "simplex": [faults.ExceptionFault("s down")] * 2,
+            "scipy": [faults.ExceptionFault("h down")] * 2,
         })
         with pytest.raises(AllBackendsFailedError) as exc_info:
             solve_lp_resilient(
-                small_lp(), ("simplex", "scipy"),
-                solvers=solvers, rescale_retry=False,
+                small_lp(), ("simplex", "scipy"), solvers=solvers
             )
         report = exc_info.value.report
         assert isinstance(report, SolveReport)
         assert not report.succeeded
         assert report.backends_tried == ("simplex", "scipy")
+        assert [(a.backend, a.outcome, a.rescaled)
+                for a in report.attempts] == [
+            ("simplex", AttemptOutcome.EXCEPTION, False),
+            ("simplex", AttemptOutcome.EXCEPTION, True),
+            ("scipy", AttemptOutcome.EXCEPTION, False),
+            ("scipy", AttemptOutcome.EXCEPTION, True),
+        ]
         assert "s down" in report.summary() and "h down" in report.summary()
-
-    def test_raise_on_failure_false_returns_report(self):
-        solvers = faults.faulty_solvers({
-            "simplex": [faults.ExceptionFault()],
-            "scipy": [faults.ExceptionFault()],
-        })
-        report = solve_lp_resilient(
-            small_lp(), ("simplex", "scipy"), solvers=solvers,
-            rescale_retry=False, raise_on_failure=False,
-        )
-        assert report.result is None
-        assert report.num_attempts == 2
 
     def test_unknown_backend_name_rejected(self):
         with pytest.raises(ValueError, match="unknown LP backends"):
@@ -211,33 +214,11 @@ class TestRescaling:
         solvers = faults.faulty_solvers(
             {"simplex": [faults.ExceptionFault("numeric blowup")]}
         )
-        report = solve_lp_resilient(
-            small_lp(), ("simplex",), solvers=solvers, rescale_retry=True
-        )
+        report = solve_lp_resilient(small_lp(), ("simplex",), solvers=solvers)
         # first raw attempt raises; rescaled retry passes through and wins
         assert report.result.is_optimal
         assert [a.rescaled for a in report.attempts] == [False, True]
         assert report.result.objective == pytest.approx(2.0)
-
-
-class TestConfirmInfeasible:
-    def test_lying_infeasible_overridden_by_second_opinion(self):
-        solvers = faults.faulty_solvers(
-            {"simplex": [faults.WrongStatusFault(LpStatus.INFEASIBLE)]}
-        )
-        report = solve_lp_resilient(
-            small_lp(), ("simplex", "scipy"),
-            solvers=solvers, confirm_infeasible=True, rescale_retry=False,
-        )
-        assert report.result.is_optimal
-        assert report.attempts[0].outcome == AttemptOutcome.INFEASIBLE
-
-    def test_true_infeasible_confirmed(self):
-        report = solve_lp_resilient(
-            infeasible_lp(), ("simplex", "scipy"), confirm_infeasible=True
-        )
-        assert report.result.status is LpStatus.INFEASIBLE
-        assert report.num_attempts == 2  # both backends weighed in
 
 
 class TestLubtIntegration:

@@ -354,8 +354,9 @@ class TestSolveServer:
 
     @pytest.mark.parametrize(
         "option",
-        [{"explode": True}, {"race": "auto"}, {"lp_timeout": 5.0}],
-        ids=["explode", "race", "lp_timeout"],
+        [{"explode": True}, {"race": "auto"}, {"lp_timeout": 5.0},
+         {"max_rounds": 5}],
+        ids=["explode", "race", "lp_timeout", "max_rounds"],
     )
     def test_bad_option_is_refused(self, server, option):
         topo, bounds, _ = instance(6)
@@ -856,7 +857,7 @@ class TestConcurrencySoak:
             # the topology whose hash keys it.
             store = handle.server.warm
             hash_a, hash_b = topology_hash(topo_a), topology_hash(topo_b)
-            assert set(store._rows) <= {hash_a, hash_b}
+            assert set(store._warm) <= {hash_a, hash_b}
             for tkey, topo in ((hash_a, topo_a), (hash_b, topo_b)):
                 n = topo.num_nodes
                 for i, j, k in store.pairs(tkey):

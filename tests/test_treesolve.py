@@ -328,7 +328,7 @@ class TestResilienceIntegration:
         bounds = DelayBounds.normalized(topo, 0.8, 1.3)
         lp = build_ebf_lp(topo, bounds)
         report = solve_lp_resilient(
-            lp, solvers={"simplex": boom, "scipy": boom}, rescale_retry=False
+            lp, solvers={"simplex": boom, "scipy": boom}
         )
         assert report.result is not None
         assert report.result.backend == "tree"
