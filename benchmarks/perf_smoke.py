@@ -35,6 +35,11 @@ collapsed model from HiGHS's own start: a crash that stopped being dual
 feasible would only send HiGHS back to its phase 1, and one that routed
 every Steiner node down a monotonicity row instead of its binding
 geometry row takes 0.28x, neither of which an answer check notices.
+At the same size a ``resilient=True`` ``auto`` solve must take the
+direct tree path (backend ``tree``, one round) to the tree solve's
+canonical cost, and an infeasibility diagnosis under upper bounds of
+0.9 x radius must give relaxed bounds that re-solve with every delay
+inside them; both times are printed.
 
 No pytest / pytest-benchmark needed — plain stdlib + repro, so the CI
 job installs numpy and scipy only:
@@ -59,9 +64,11 @@ from repro.ebf import (
     solve_sweep,
     steiner_violations,
 )
+from repro.ebf.bounds import radius_of
 from repro.ebf.constraints import max_steiner_violation, steiner_certificate
 from repro.geometry import manhattan_radius_from
 from repro.perf import SolveTask, run_many, solve_many
+from repro.resilience import diagnose_infeasibility
 from repro.topology import nearest_neighbor_topology
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -289,7 +296,55 @@ def check_tree(sinks: int, factor: float) -> list[str]:
         f"({pivots / cold:.2f}x), costs "
         + ("match" if not failures else "DIFFER/SLOW")
     )
-    return failures + check_certificate(topo, tree_sol.edge_lengths)
+    return (
+        failures
+        + check_certificate(topo, tree_sol.edge_lengths)
+        + check_resilience(topo, tree_sol)
+    )
+
+
+def check_resilience(topo, tree_sol) -> list[str]:
+    """Resilience gate: a resilient ``auto`` solve answers on the direct
+    tree path with the tree solve's canonical cost, and a diagnosis under
+    upper bounds of 0.9 x radius relaxes them into bounds the re-solve
+    meets."""
+    failures = []
+    m = topo.num_sinks
+    t0 = time.perf_counter()
+    sol = solve_lubt(topo, tree_sol.bounds, check_bounds=False, resilient=True)
+    solve_seconds = time.perf_counter() - t0
+    if (sol.stats.backend, sol.stats.rounds) != ("tree", 1):
+        failures.append(
+            f"resilient auto solve ran {sol.stats.backend} in "
+            f"{sol.stats.rounds} round(s), not the tree LP, at {m} sinks"
+        )
+    if canonical_cost(sol.cost) != canonical_cost(tree_sol.cost):
+        failures.append(
+            f"resilient cost {sol.cost!r} != tree {tree_sol.cost!r} "
+            f"(canonical) at {m} sinks"
+        )
+    bounds = DelayBounds.uniform(m, 0.0, 0.9 * radius_of(topo))
+    t0 = time.perf_counter()
+    diag = diagnose_infeasibility(topo, bounds)
+    diag_seconds = time.perf_counter() - t0
+    relaxed = solve_lubt(topo, diag.relaxed_bounds, check_bounds=False)
+    inside = diag.relaxed_bounds.satisfied_by(relaxed.delays)
+    if not diag.conflicting or not inside:
+        failures.append(
+            f"diagnosis at upper 0.9 x radius named "
+            f"{len(diag.conflicting)} sink(s); relaxed re-solve delays "
+            f"{'inside' if inside else 'OUTSIDE'} the relaxed bounds at "
+            f"{m} sinks"
+        )
+    print(
+        f"resilience ({m} sinks): resilient auto solve "
+        f"{solve_seconds:.3f}s on {sol.stats.backend} in "
+        f"{sol.stats.rounds} round(s); diagnosis at upper 0.9 x radius "
+        f"{diag_seconds:.3f}s, {len(diag.conflicting)} conflicting "
+        f"sink(s), relaxed re-solve "
+        + ("inside its bounds" if inside else "OUTSIDE its bounds")
+    )
+    return failures
 
 
 def _linprog_pivots(topo, bounds) -> int:

@@ -100,7 +100,7 @@ def _check_rows(lp: LinearProgram) -> list[Diagnostic]:
         return out
     data = np.asarray(lp._row_data, dtype=np.float64)
     ptr = np.asarray(lp._row_ptr, dtype=np.int64)
-    rhs = np.asarray(lp._row_rhs, dtype=np.float64)
+    rhs = lp.rhs
 
     # NaN coefficients, reported per offending row.
     nan_elems = np.nonzero(np.isnan(data))[0]

@@ -648,8 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resilient",
         action="store_true",
-        help="solve LPs through the backend fallback chain "
-        "(simplex -> scipy -> tree, with retries)",
+        help="solve LPs through the backend fallback chain (the tree "
+        "LP and its rescaled retry on the direct tree path, else "
+        "simplex -> scipy -> tree, with retries)",
     )
     p.add_argument(
         "--diagnose",

@@ -12,7 +12,10 @@ A lazy solve on the tree backend skips the loop: the collapsed
 node-potential LP (:mod:`repro.lp.treesolve`) holds every Steiner row, so
 one solve on a row-less stamped model is the whole LUBT.  ``"auto"``
 takes that path from :data:`TREE_MIN_SINKS` sinks up unless a warm store
-asks for the loop's carried rows (see :func:`direct_tree_path`).
+asks for the loop's carried rows (see :func:`direct_tree_path`).  A
+resilient solve takes the same path: ``resilient`` changes how that LP is
+attempted (the tree backend, then its rescaled retry), and only when both
+attempts fail does the lazy loop answer.
 """
 
 from __future__ import annotations
@@ -38,21 +41,22 @@ from repro.ebf.formulation import (
 )
 from repro.lp import InfeasibleError, solve_lp
 from repro.lp.solve import preferred_backend
+from repro.resilience.errors import AllBackendsFailedError
+from repro.resilience.fallback import backend_chain, solve_lp_resilient
 
 _VIOLATION_TOL = 1e-6
 #: Slack of the exact post-solve checks (delay windows, Steiner rows).
 _CHECK_TOL = 1e-5
-#: Cap on the LP solves of one lazy row-generation loop (here and in
-#: :func:`repro.resilience.diagnose_infeasibility`); a loop that has not
-#: converged by then raises ``RuntimeError``.
+#: Cap on the LP solves of one lazy row-generation loop; a loop that has
+#: not converged by then raises ``RuntimeError``.
 MAX_ROUNDS = 60
 
-#: Sink count from which a lazy, non-resilient ``backend="auto"`` solve
-#: without a warm store takes the direct tree path instead of the lazy
-#: loop on the dense simplex / HiGHS.  A module constant, not an option.
-#: It was the measured tie of the two paths until cold tree solves
-#: started from the crash basis; since then the tree path is faster at
-#: every measured size, from 4 sinks up (``auto_crossover`` in
+#: Sink count from which a lazy ``backend="auto"`` solve without a warm
+#: store takes the direct tree path instead of the lazy loop on the
+#: dense simplex / HiGHS, resilient or not.  A module constant, not an
+#: option.  It was the measured tie of the two paths until cold tree
+#: solves started from the crash basis; since then the tree path is
+#: faster at every measured size, from 4 sinks up (``auto_crossover`` in
 #: BENCH_scaling.json, written by ``benchmarks/bench_scaling.py``).  It
 #: stays at 8 while perfbench's self-test expects ``cts-chip``'s 6-sink
 #: nets on the simplex lazy loop, and moves with the next change to
@@ -65,18 +69,19 @@ def direct_tree_path(
     *,
     backend: str = "auto",
     mode: str = "lazy",
-    resilient: bool = False,
     warm=None,
 ) -> bool:
     """Whether :func:`solve_lubt` answers with one tree LP instead of the
     lazy loop.
 
-    True for a lazy, non-resilient solve on ``"tree"``, and on ``"auto"``
-    from :data:`TREE_MIN_SINKS` sinks up when no ``warm`` store is
-    given: a warm store asks for the Steiner rows only the loop finds
-    and reuses, so it keeps ``"auto"`` on the loop.
+    True for a lazy solve on ``"tree"``, and on ``"auto"`` from
+    :data:`TREE_MIN_SINKS` sinks up when no ``warm`` store is given: a
+    warm store asks for the Steiner rows only the loop finds and reuses,
+    so it keeps ``"auto"`` on the loop.  ``resilient`` plays no part: a
+    resilient direct solve attempts the same tree LP, and falls back to
+    the loop only when every tree attempt fails.
     """
-    if mode != "lazy" or resilient:
+    if mode != "lazy":
         return False
     if backend == "tree":
         return True
@@ -96,7 +101,8 @@ class SolveStats:
     wall_seconds: float
     #: Extra LP attempts (retries + backend switches) under resilient mode.
     lp_fallbacks: int = 0
-    #: Wall-clock spent inside LP backends, total and per lazy round.
+    #: Wall-clock spent inside LP backends, total and per LP solve (one
+    #: per lazy round, and one for a failed tree lane before them).
     lp_seconds: float = 0.0
     round_lp_seconds: tuple[float, ...] = ()
     #: Steiner rows seeded from a :class:`~repro.ebf.sweep.WarmStart`
@@ -187,15 +193,15 @@ def solve_lubt(
         ``"auto"`` (default), ``"simplex"``, ``"scipy"``, or ``"tree"``
         — the structure-aware node-potential solver
         (:mod:`repro.lp.treesolve`) that solves the *entire* Steiner
-        family in one collapsed O(n)-row LP.  A lazy, non-resilient
-        solve on ``"tree"`` takes the direct path: one tree LP on a
-        row-less stamped model, no seed rows, no loop, no warm rows
+        family in one collapsed O(n)-row LP.  A lazy solve on
+        ``"tree"`` takes the direct path: one tree LP on a row-less
+        stamped model, no seed rows, no loop, no warm rows
         (``rounds == 1``, ``steiner_rows == 0``), the exact
         post-validation kept; with a ``warm`` store it starts from the
         store's basis.  ``"auto"`` means ``"tree"`` there from
         :data:`TREE_MIN_SINKS` sinks up when ``warm`` is ``None``;
-        otherwise — below the constant, with a warm store, in full or
-        resilient mode — it is a size-based simplex/scipy choice
+        otherwise — below the constant, with a warm store, in full
+        mode — it is a size-based simplex/scipy choice
         (:func:`direct_tree_path`).
     mode:
         ``"lazy"`` (Section 4.6 row generation, default) or ``"full"``
@@ -222,7 +228,11 @@ def solve_lubt(
         (backend cascade + rescale retry, on the caller's thread)
         instead of a single backend; the per-LP
         :class:`~repro.resilience.SolveReport` history lands in
-        ``solution.solve_reports``.
+        ``solution.solve_reports``.  On the direct path the cascade is
+        the tree backend alone, then its rescaled retry.  When both
+        fail, the lazy loop answers on the backend ``"auto"`` picks
+        for it (even under ``backend="tree"``), and the tree attempts
+        head its first report, or the report of a total outage.
     on_infeasible:
         ``"raise"`` (default) raises :class:`InfeasibleError` as before;
         ``"diagnose"`` additionally runs the elastic re-solve and raises
@@ -306,55 +316,71 @@ def solve_lubt(
 
     reports: list = []
     round_lp_seconds: list[float] = []
+    # Attempts of a failed tree lane: they head the next report.
+    lane: list = []
 
-    def _solve(lp, resolved):
+    def _solve(lp, resolved, chain=None):
+        """One LP on ``resolved``; resilient, through the cascade
+        ``chain`` (default: ``resolved``, then the other backends)."""
         t0 = time.perf_counter()
         try:
             if not resilient:
                 return solve_lp(lp, resolved)
-            from repro.resilience import backend_chain, solve_lp_resilient
-
-            report = solve_lp_resilient(
-                lp, backend_chain(lp, resolved),
-                breakers=breakers, solvers=solvers,
-            )
+            try:
+                report = solve_lp_resilient(
+                    lp, chain or backend_chain(lp, resolved),
+                    breakers=breakers, solvers=solvers,
+                )
+            except AllBackendsFailedError as exc:
+                exc.report.attempts[:0] = lane
+                raise AllBackendsFailedError(exc.report) from None
+            report.attempts[:0] = lane
+            lane.clear()
             reports.append(report)
             return report.result
         finally:
             round_lp_seconds.append(time.perf_counter() - t0)
 
     direct_tree = direct_tree_path(
-        topo.num_sinks, backend=backend, mode=mode, resilient=resilient,
-        warm=warm,
+        topo.num_sinks, backend=backend, mode=mode, warm=warm
     )
     start = time.perf_counter()
     warm_rows = 0
+    result = None
     try:
-        if direct_tree or mode == "full":
-            if direct_tree:
-                # The tree LP implies every Steiner row: state none.
-                pairs = []
-                lp = build_tree_lp(
-                    topo, bounds, weights=weights, zero_edges=zero_edges
-                )
-                if warm is not None:
-                    # Windows are column bounds of the tree LP, so the
-                    # last optimal basis on this topology stays dual
-                    # feasible: dual simplex restarts from it.
-                    lp.tree_meta.basis = warm.basis_for(topo)
-                    lp.tree_meta.return_basis = True
-            else:
-                pairs = list(all_sink_pairs(topo))
-                lp = build_ebf_lp(
-                    topo, bounds, weights=weights, pairs=pairs,
-                    zero_edges=zero_edges,
-                )
+        if direct_tree:
+            # The tree LP implies every Steiner row: state none.
+            pairs = []
+            lp = build_tree_lp(
+                topo, bounds, weights=weights, zero_edges=zero_edges
+            )
+            if warm is not None:
+                # Windows are column bounds of the tree LP, so the last
+                # optimal basis on this topology stays dual feasible:
+                # dual simplex restarts from it.
+                lp.tree_meta.basis = warm.basis_for(topo)
+                lp.tree_meta.return_basis = True
             if validate == "strict":
                 _check_built_lp(lp)
-            result = _solve(lp, "tree" if direct_tree else backend)
-            result = result.require_optimal()
-            if direct_tree and warm is not None:
-                warm.absorb(topo, (), result.basis)
+            try:
+                result = _solve(lp, "tree", ("tree",)).require_optimal()
+            except AllBackendsFailedError as exc:
+                # The tree LP and its rescaled retry both failed: the
+                # lazy loop answers.
+                lane[:] = exc.report.attempts
+            else:
+                if warm is not None:
+                    warm.absorb(topo, (), result.basis)
+        elif mode == "full":
+            pairs = list(all_sink_pairs(topo))
+            lp = build_ebf_lp(
+                topo, bounds, weights=weights, pairs=pairs,
+                zero_edges=zero_edges,
+            )
+            if validate == "strict":
+                _check_built_lp(lp)
+            result = _solve(lp, backend).require_optimal()
+        if result is not None:
             e = expand_edge_vector(topo, result.x)
             rounds, iters = 1, result.iterations
         else:
@@ -386,8 +412,8 @@ def solve_lubt(
             # heading toward, and stick with it: re-deciding per round
             # wastes a dense-tableau solve on the small seed LP only to
             # hand the grown model to scipy next round anyway.
-            resolved = backend
-            if backend == "auto":
+            resolved = "auto" if direct_tree else backend
+            if resolved == "auto":
                 projected = lp.num_constraints + min(
                     batch, max(0, total_pairs - len(pairs))
                 )
@@ -515,9 +541,6 @@ def _handle_infeasible(topo, bounds, on_infeasible, retry_kwargs):
         topo,
         bounds,
         zero_edges=retry_kwargs["zero_edges"],
-        backend=retry_kwargs["backend"],
-        mode=retry_kwargs["mode"],
-        batch=retry_kwargs["batch"],
         resilient=retry_kwargs["resilient"],
     )
     if on_infeasible == "diagnose":

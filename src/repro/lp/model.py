@@ -265,6 +265,22 @@ class LinearProgram:
     def upper_bounds(self) -> np.ndarray:
         return np.asarray(self._ub, dtype=float)
 
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.asarray(self._row_rhs, dtype=float)
+
+    def scaled(self, s: float) -> "LinearProgram":
+        """A copy with every rhs and variable bound divided by ``s``: the
+        same columns, costs, rows, senses and names, and no tree stamp."""
+        out = LinearProgram(minimize=self.minimize)
+        for name in ("_costs", "_names", "_row_data", "_row_cols",
+                     "_row_ptr", "_row_sense", "_row_names"):
+            setattr(out, name, list(getattr(self, name)))
+        out._lb = (self.lower_bounds / s).tolist()
+        out._ub = (self.upper_bounds / s).tolist()
+        out._row_rhs = (self.rhs / s).tolist()
+        return out
+
     def variable_name(self, j: int) -> str:
         return self._names[j]
 

@@ -61,9 +61,12 @@ builds the row-less stamped model ``solve_lubt``'s direct path solves);
 any LP without the stamp — or with rows appended outside the tree-aware
 builders (watermarked by ``covered_rows``) — is declined with
 :class:`BackendCapabilityError`, which the resilient cascade treats as
-a clean fall-through to a generic backend.  Elastic
-infeasibility-diagnosis LPs carry no stamp, so infeasible instances
-route through ``diagnose_infeasibility`` exactly as before.
+a clean fall-through to a generic backend.  A rescaled copy
+(:func:`repro.resilience.rescale_lp`) carries a scaled stamp, so the
+cascade's rescaled tree retry solves it.  The elastic LP of
+``diagnose_infeasibility`` is :func:`collapsed_tree_lp` under ``[0,
+inf)`` windows plus slack columns and rows: an ordinary, unstamped
+model that one HiGHS solve answers.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ hardens the LP -> embed pipeline in three layers:
   validation (NaN / infeasible "optimal" answers are rejected), and a
   structured :class:`SolveReport` of every attempt; hard time bounds
   come from killed pool workers (:mod:`repro.perf`), not the cascade;
-* :func:`diagnose_infeasibility` — when the EBF is infeasible, an
-  elastic re-solve names the conflicting sink bounds and the minimal
-  relaxation per bound (:class:`InfeasibilityDiagnosis`), and hands back
+* :func:`diagnose_infeasibility` — when the EBF is infeasible, one
+  elastic solve of the collapsed tree LP names the conflicting sink
+  bounds and the minimal relaxation per bound
+  (:class:`InfeasibilityDiagnosis`), and hands back
   relaxed-but-embeddable bounds for graceful degradation;
 * :mod:`repro.resilience.faults` — deterministic fault injection
   wrappers (exceptions, stalls, NaN solutions, wrong statuses) so the

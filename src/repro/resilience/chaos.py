@@ -15,9 +15,9 @@ seeded action mix:
 * **ping**/**stats** probes;
 
 while (optionally) a killer thread SIGKILLs pool workers mid-solve and
-a :class:`~repro.resilience.faults.FaultyBackend` schedule forces the
-primary LP backend to fail, exercising fallback and circuit breakers
-server-side.
+:class:`~repro.resilience.faults.FaultyBackend` schedules force the
+simplex and tree backends to fail, exercising fallback (the tree lane's
+included) and circuit breakers server-side.
 
 The pass/fail contract is chosen to be **deterministic for a fixed
 seed** even though thread/socket timing is not: the harness asserts
@@ -63,8 +63,9 @@ class ChaosConfig:
     #: Small line limit so oversized probes are cheap to construct.
     max_line_bytes: int = 64 * 1024
     kill_workers: bool = True
-    #: Consecutive injected failures of the primary backend per worker
-    #: process (0 disables fault injection).
+    #: Consecutive injected failures of the simplex and of the tree
+    #: backend per solver map: the server's own in inline mode, a fresh
+    #: copy with every pooled task (0 disables fault injection).
     fault_count: int = 8
     #: Client-side deadline (seconds) attached to a fraction of solves.
     deadline: float = 30.0
@@ -234,8 +235,10 @@ class _ClientWorker(threading.Thread):
         # stays checkable against the same ground truth.
         batch = self.rng.choice((8, 16, 32, 48, 64, 96))
         # A slice of solves pins the structure-aware tree backend so the
-        # soak exercises it server-side (distinct instance keys, same
-        # ground-truth canonical cost — exact parity is the invariant).
+        # soak exercises it server-side, its fallback to the lazy loop
+        # under injected tree failures included (distinct instance keys,
+        # same ground-truth canonical cost — exact parity is the
+        # invariant).
         extra = (
             {"backend": "tree"} if self.rng.random() < 0.25 else {}
         )
@@ -397,6 +400,7 @@ def _killer_loop(server, t_end, seed) -> None:
 def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
     """Run one chaos soak; see the module docstring for the contract."""
     from repro.lp.simplex import solve_simplex
+    from repro.lp.treesolve import solve_tree
     from repro.resilience.faults import ExceptionFault, FaultyBackend
     from repro.server.client import ServerClient
     from repro.server.dispatch import ServerThread
@@ -414,11 +418,14 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
     overrides = None
     if config.fault_count > 0:
         overrides = {
-            "simplex": FaultyBackend(
-                solve_simplex,
-                [ExceptionFault("chaos: injected simplex failure")]
+            name: FaultyBackend(
+                solver,
+                [ExceptionFault(f"chaos: injected {name} failure")]
                 * config.fault_count,
-                name="simplex",
+                name=name,
+            )
+            for name, solver in (
+                ("simplex", solve_simplex), ("tree", solve_tree)
             )
         }
 

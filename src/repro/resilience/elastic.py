@@ -4,23 +4,24 @@ Per Section 9 of the paper, an infeasible EBF certifies that no LUBT
 exists for the topology and bounds — but a bare "infeasible" leaves the
 user guessing which of the ``l_i``/``u_i`` windows to move.  This module
 answers that with the classic elastic-programming trick: re-solve the
-LP with a non-negative slack on every delay row
+LP with a non-negative slack on each side of every sink window
 
-    sum path(s_0, s_i)  + s_l_i  >=  l_i
-    sum path(s_0, s_i)  - s_u_i  <=  u_i
+    d_i + s_l_i  >=  l_i
+    d_i - s_u_i  <=  u_i
 
-minimizing total slack.  The optimum is the minimal total bound
-relaxation that restores feasibility; per-sink slacks name the
-conflicting sinks and how far each bound must move.
+(``d_i`` the sink's delay) minimizing total slack.  The optimum is the
+minimal total bound relaxation that restores feasibility; per-sink
+slacks name the conflicting sinks and how far each bound must move.
 
-With a fixed source, the geometric floor ``path >= dist(s_0, s_i)``
-stays a *hard* row: no bound relaxation can route a wire shorter than
-the Manhattan distance, so keeping it inelastic makes the relaxed
-bounds embeddable (Theorem 4.1 carries over) instead of merely
-LP-feasible.
-
-Steiner rows are generated lazily (Section 4.6 style) exactly as in the
-primal solve, so the diagnosis scales to the same instances.
+The LP is the collapsed node-potential model of
+:mod:`repro.lp.treesolve` under ``[0, inf)`` windows, which holds the
+whole Steiner family in O(n) rows, plus one slack column and one row per
+finite window side: one solve answers, with no row generation.  With a
+fixed source, that model's delay columns keep the geometric floor
+``d_i >= dist(s_0, s_i)`` as a *hard* bound: no bound relaxation can
+route a wire shorter than the Manhattan distance, so keeping it
+inelastic makes the relaxed bounds embeddable (Theorem 4.1 carries over)
+instead of merely LP-feasible.
 """
 
 from __future__ import annotations
@@ -31,18 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ebf.bounds import DelayBounds
-from repro.ebf.constraints import (
-    all_sink_pairs,
-    seed_constraint_pairs,
-    steiner_violations,
-)
-from repro.ebf.formulation import add_steiner_rows, edge_var
-from repro.ebf.solver import MAX_ROUNDS
-from repro.geometry import manhattan
+from repro.ebf.formulation import build_tree_lp
 from repro.lp import LinearProgram, Sense, solve_lp
+from repro.lp.treesolve import collapsed_tree_lp
+from repro.resilience.fallback import solve_lp_resilient
 
 _SLACK_TOL = 1e-7
-_VIOLATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -122,52 +117,49 @@ def build_elastic_lp(
     topo,
     bounds: DelayBounds,
     *,
-    pairs=None,
     zero_edges=(),
 ) -> tuple[LinearProgram, dict[int, tuple[int | None, int | None]]]:
-    """The EBF with per-sink slack on the delay rows, min-total-slack
-    objective.  Returns ``(lp, slack_cols)`` with ``slack_cols[i] =
+    """The elastic EBF in collapsed form, min-total-slack objective.
+    Returns ``(lp, slack_cols)`` with ``slack_cols[i] =
     (lower_slack_col, upper_slack_col)`` (``None`` where a bound needs
     no slack: ``l_i = 0`` or ``u_i = inf``).
 
-    Always feasible: edge lengths can stretch to any Steiner/geometric
+    The first ``n - 1`` columns are the node delays ``d_1 .. d_{n-1}``,
+    then come the collapsed model's min-chain auxiliaries and the
+    slacks.  Always feasible: delays can stretch to any Steiner/geometric
     floor, the upper slacks are unbounded, and each lower slack is capped
     at ``l_i`` (so relaxed lower bounds never go negative).
     """
     if bounds.num_sinks != topo.num_sinks:
         raise ValueError("bounds/sink count mismatch")
+    model = collapsed_tree_lp(
+        build_tree_lp(
+            topo, DelayBounds.unbounded(topo.num_sinks),
+            zero_edges=zero_edges,
+        )
+    )
     lp = LinearProgram()
-    for i in range(1, topo.num_nodes):
-        lp.add_variable(f"e{i}")  # cost 0: the objective is slack only
-    for i in zero_edges:
-        lp.fix_variable(edge_var(i), 0.0)
+    for lo, hi in zip(model.lb.tolist(), model.ub.tolist()):
+        lp.add_variable(lb=lo, ub=hi)  # cost 0: the objective is slack only
+    a = model.a_ub.tocsr()
+    lp.add_rows(a.data, a.indices, a.indptr, Sense.LE, model.b_ub)
 
-    src = topo.source_location
     slack_cols: dict[int, tuple[int | None, int | None]] = {}
     for i in topo.sink_ids():
         lo, hi = bounds.window(i)
-        coeffs = {edge_var(k): 1.0 for k in topo.path_to_root(i)}
-        if src is not None:
-            lp.add_constraint(
-                coeffs,
-                Sense.GE,
-                manhattan(src, topo.sink_location(i)),
-                name=f"delay{i}.geom",
-            )
+        # Sink i is node i, so its delay is column i - 1.
         s_lo = s_hi = None
         if lo > 0.0:
             s_lo = lp.add_variable(f"slack_l{i}", cost=1.0, ub=lo)
             lp.add_constraint(
-                {**coeffs, s_lo: 1.0}, Sense.GE, lo, name=f"delay{i}.lo"
+                {i - 1: 1.0, s_lo: 1.0}, Sense.GE, lo, name=f"delay{i}.lo"
             )
         if math.isfinite(hi):
             s_hi = lp.add_variable(f"slack_u{i}", cost=1.0)
             lp.add_constraint(
-                {**coeffs, s_hi: -1.0}, Sense.LE, hi, name=f"delay{i}.hi"
+                {i - 1: 1.0, s_hi: -1.0}, Sense.LE, hi, name=f"delay{i}.hi"
             )
         slack_cols[i] = (s_lo, s_hi)
-
-    add_steiner_rows(lp, topo, pairs)
     return lp, slack_cols
 
 
@@ -176,57 +168,17 @@ def diagnose_infeasibility(
     bounds: DelayBounds,
     *,
     zero_edges=(),
-    backend: str = "auto",
-    mode: str = "lazy",
-    batch: int = 4000,
     resilient: bool = False,
 ) -> InfeasibilityDiagnosis:
-    """Solve the elastic EBF and report the minimal per-sink relaxation.
+    """Solve the elastic EBF once and report the minimal per-sink
+    relaxation.
 
-    ``mode``/``batch`` mirror :func:`repro.ebf.solve_lubt` (lazy Steiner
-    row generation by default, at most
-    :data:`~repro.ebf.solver.MAX_ROUNDS` rounds).  With
-    ``resilient=True`` the elastic LP itself goes through the backend
-    fallback chain.
+    With ``resilient=True`` the elastic LP goes through the backend
+    fallback chain (:func:`~repro.resilience.solve_lp_resilient`).
     """
-    if mode not in ("lazy", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    pairs = (
-        list(all_sink_pairs(topo))
-        if mode == "full"
-        else list(seed_constraint_pairs(topo))
-    )
-    lp, slack_cols = build_elastic_lp(
-        topo, bounds, pairs=pairs, zero_edges=zero_edges
-    )
-    # The elastic LP's slack columns fall outside the tree-structured
-    # family, so the structure-aware backend does not apply here; a
-    # tree-backend caller still gets an identical diagnosis via the
-    # generic path.
-    if backend == "tree":
-        backend = "auto"
-
-    def _solve(model):
-        if resilient:
-            from repro.resilience.fallback import solve_lp_resilient
-
-            return solve_lp_resilient(model).result
-        return solve_lp(model, backend)
-
-    n_edges = topo.num_nodes - 1
-    result = None
-    for _ in range(MAX_ROUNDS):
-        result = _solve(lp).require_optimal()
-        e = np.zeros(topo.num_nodes)
-        e[1:] = np.maximum(result.x[:n_edges], 0.0)
-        violated = steiner_violations(topo, e, _VIOLATION_TOL, limit=batch)
-        if not violated:
-            break
-        add_steiner_rows(lp, topo, [(i, j) for i, j, _ in violated])
-    else:
-        raise RuntimeError(
-            f"elastic row generation did not converge in {MAX_ROUNDS} rounds"
-        )
+    lp, slack_cols = build_elastic_lp(topo, bounds, zero_edges=zero_edges)
+    result = solve_lp_resilient(lp).result if resilient else solve_lp(lp)
+    result = result.require_optimal()
 
     scale = 1.0
     finite_hi = bounds.upper[np.isfinite(bounds.upper)]

@@ -17,6 +17,7 @@ is killed when it overruns (``solve_many(..., timeout=)``, ``lubt cts
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from typing import Callable, Mapping, Sequence
@@ -74,28 +75,26 @@ def rescale_lp(lp: LinearProgram) -> tuple[LinearProgram, float]:
     magnitude ``s`` (so numbers are O(1)); returns ``(scaled, s)`` with
     ``x_original = s * x_scaled``.
 
-    Costs are left untouched — scaling every column by the same factor
-    preserves the argmin, and callers recompute the objective on the
-    unscaled solution.
+    A tree-stamped model's sink coordinates and delay windows count
+    toward ``s`` and are divided by it in the copy's stamp, so the tree
+    backend solves the scaled model too: the row-less model of the
+    direct tree path keeps all its numbers there.  Costs are left
+    untouched — scaling every column by the same factor preserves the
+    argmin, and callers recompute the objective on the unscaled
+    solution.
     """
-    mags = [abs(lp.row(i)[2]) for i in range(lp.num_constraints)]
-    mags += [abs(float(v)) for v in lp.lower_bounds if math.isfinite(v)]
-    mags += [abs(float(v)) for v in lp.upper_bounds if math.isfinite(v)]
-    s = max(mags, default=0.0)
-    if not math.isfinite(s) or s <= 0.0:
-        s = 1.0
-    scaled = LinearProgram(minimize=lp.minimize)
-    lb, ub, costs = lp.lower_bounds, lp.upper_bounds, lp.costs
-    for j in range(lp.num_variables):
-        scaled.add_variable(
-            lp.variable_name(j),
-            cost=float(costs[j]),
-            lb=float(lb[j]) / s,
-            ub=float(ub[j]) / s,
+    meta = lp.tree_meta
+    parts = [lp.rhs, lp.lower_bounds, lp.upper_bounds]
+    if meta is not None:
+        parts += [meta.su, meta.sv, meta.lower, meta.upper]
+    mags = np.abs(np.concatenate(parts))
+    s = float(mags[np.isfinite(mags)].max(initial=0.0)) or 1.0
+    scaled = lp.scaled(s)
+    if meta is not None:
+        scaled.tree_meta = dataclasses.replace(
+            meta, su=meta.su / s, sv=meta.sv / s,
+            lower=meta.lower / s, upper=meta.upper / s,
         )
-    for i in range(lp.num_constraints):
-        coeffs, sense, rhs = lp.row(i)
-        scaled.add_constraint(coeffs, sense, rhs / s, name=lp.row_name(i))
     return scaled, s
 
 
@@ -103,7 +102,8 @@ def _unscale_result(raw: LpResult, s: float, lp: LinearProgram) -> LpResult:
     """Map a result on the rescaled model back to original units.
 
     Duals are dropped rather than risk a unit mix-up; resilient rescale
-    retries are a salvage path, not the dual-reading path.
+    retries are a salvage path, not the dual-reading path.  A basis
+    holds statuses only, so it is kept.
     """
     if raw.status is not LpStatus.OPTIMAL or raw.x is None:
         return LpResult(
@@ -119,6 +119,7 @@ def _unscale_result(raw: LpResult, s: float, lp: LinearProgram) -> LpResult:
         raw.backend,
         duals=None,
         message=raw.message,
+        basis=raw.basis,
     )
 
 
@@ -212,9 +213,7 @@ def solve_lp_resilient(
     if unknown:
         raise ValueError(f"unknown LP backends in chain: {unknown}")
 
-    rhs_mag = max(
-        (abs(lp.row(i)[2]) for i in range(lp.num_constraints)), default=0.0
-    )
+    rhs_mag = float(np.abs(lp.rhs).max(initial=0.0))
     feas_tol = FEASIBILITY_TOL * (1.0 + rhs_mag)
 
     report = SolveReport()

@@ -151,7 +151,6 @@ def _solve_job(
         topo.num_sinks,
         backend=options.get("backend", "auto"),
         mode=options.get("mode", "lazy"),
-        resilient=bool(options.get("resilient")),
     ):
         ws = WarmStart.seeded(topo_key, (), basis)
         options = {**options, "backend": "tree"}

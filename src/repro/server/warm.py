@@ -58,14 +58,6 @@ class WarmStore:
             self._warm.move_to_end(key)
             return list(ws.pairs), ws.basis
 
-    def pairs(self, key: str) -> list[Pair]:
-        """A snapshot of the carried rows for ``key`` (possibly empty)."""
-        return self.carried(key)[0]
-
-    def warm_for(self, key: str) -> WarmStart:
-        """A fresh :class:`WarmStart` pre-seeded with the stored state."""
-        return WarmStart.seeded(key, *self.carried(key))
-
     def absorb(
         self, key: str, pairs: Iterable[Pair], basis: tuple | None = None
     ) -> int:
@@ -83,11 +75,6 @@ class WarmStore:
             fresh = ws.merge(pairs, basis)
             self.absorbed += fresh
         return fresh
-
-    def rows(self, key: str) -> int:
-        with self._lock:
-            ws = self._warm.get(key)
-            return 0 if ws is None else len(ws.pairs)
 
     def stats(self) -> dict[str, int]:
         with self._lock:

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.ebf import DelayBounds, solve_lubt
 from repro.ebf.bounds import radius_of
+from repro.ebf.solver import TREE_MIN_SINKS
 from repro.geometry import Point
 from repro.lp.simplex import solve_simplex
 from repro.resilience import (
@@ -35,7 +36,9 @@ def trip(breaker):
         breaker.record_failure()
 
 
-def small_instance(sinks=8, seed=5):
+def small_instance(sinks=TREE_MIN_SINKS - 1, seed=5):
+    """Below ``TREE_MIN_SINKS`` a resilient ``auto`` solve runs the lazy
+    loop, whose cascade starts on simplex."""
     rng = np.random.default_rng(seed)
     pts = [Point(float(x), float(y)) for x, y in rng.integers(0, 60, (sinks, 2))]
     topo = nearest_neighbor_topology(pts, Point(30.0, 30.0))

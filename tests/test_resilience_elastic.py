@@ -6,8 +6,12 @@ conflicting sink bounds and the minimal relaxation amounts, and the
 relaxed re-solve must yield a valid embedded tree.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     DelayBounds,
@@ -20,12 +24,16 @@ from repro import (
     solve_lubt,
 )
 from repro.ebf.bounds import radius_of
+from repro.ebf.formulation import add_steiner_rows, edge_var
 from repro.geometry import manhattan
+from repro.lp import LinearProgram, Sense, solve_lp
 from repro.resilience import (
     InfeasibilityDiagnosis,
     build_elastic_lp,
     diagnose_infeasibility,
 )
+from repro.topology import Topology
+from repro.topology.split import split_high_degree_steiner
 
 
 def instance(n=8, seed=0, span=50):
@@ -121,6 +129,115 @@ class TestDiagnosis:
         bounds = DelayBounds.uniform(topo.num_sinks, 0.0, 0.5 * r)
         diag = diagnose_infeasibility(topo, bounds, resilient=True)
         assert diag.conflicting
+
+
+def fanout_topology(m, rng, fixed, fanout):
+    """Sinks as leaves under Steiner nodes of 2..``fanout`` children,
+    split to a binary tree; returns ``(topo, zero_edges)``."""
+    pts = [Point(float(x), float(y)) for x, y in rng.integers(0, 60, (m, 2))]
+    parents = [None] + [0] * m
+
+    def place(group, parent):
+        cuts = rng.choice(
+            np.arange(1, len(group)),
+            size=min(len(group) - 1, int(rng.integers(1, fanout))),
+            replace=False,
+        )
+        for part in np.split(group, np.sort(cuts)):
+            if len(part) == 1:
+                parents[int(part[0])] = parent
+            else:
+                parents.append(parent)
+                place(part, len(parents) - 1)
+
+    place(np.arange(1, m + 1), 0)
+    src = Point(30.0, 30.0) if fixed else None
+    return split_high_degree_steiner(Topology(parents, m, pts, src))
+
+
+def literal_elastic_lp(topo, bounds, zero_edges):
+    """The elastic EBF written out row by row: edge variables, slacked
+    delay rows, the hard geometric floor and every Steiner pair."""
+    lp = LinearProgram()
+    for i in range(1, topo.num_nodes):
+        lp.add_variable(f"e{i}")
+    for i in zero_edges:
+        lp.fix_variable(edge_var(i), 0.0)
+    src = topo.source_location
+    for i in topo.sink_ids():
+        lo, hi = bounds.window(i)
+        path = {edge_var(k): 1.0 for k in topo.path_to_root(i)}
+        if src is not None:
+            floor = manhattan(src, topo.sink_location(i))
+            lp.add_constraint(path, Sense.GE, floor)
+        if lo > 0.0:
+            s_lo = lp.add_variable(cost=1.0, ub=lo)
+            lp.add_constraint({**path, s_lo: 1.0}, Sense.GE, lo)
+        if math.isfinite(hi):
+            s_hi = lp.add_variable(cost=1.0)
+            lp.add_constraint({**path, s_hi: -1.0}, Sense.LE, hi)
+    add_steiner_rows(lp, topo, None)
+    return lp
+
+
+class TestCollapsedElasticLp:
+    """The elastic LP holds every Steiner row in its collapsed form: one
+    solve gives the total slack of the literal all-pairs elastic LP."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=16),
+        seed=st.integers(min_value=0, max_value=10_000),
+        fixed=st.booleans(),
+        fanout=st.sampled_from([2, 4]),
+        inverted=st.booleans(),
+        open_ends=st.booleans(),
+    )
+    def test_total_slack_matches_the_all_pairs_lp(
+        self, m, seed, fixed, fanout, inverted, open_ends
+    ):
+        rng = np.random.default_rng(seed)
+        topo, zero = fanout_topology(m, rng, fixed, fanout)
+        r = radius_of(topo)
+        lo = rng.uniform(0.0, 1.5, m) * r
+        hi = rng.uniform(0.3, 1.5, m) * r
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        if inverted:
+            flip = rng.random(m) < 0.3
+            lo[flip], hi[flip] = hi[flip], lo[flip]
+        if open_ends:
+            lo[rng.random(m) < 0.3] = 0.0
+            hi[rng.random(m) < 0.3] = math.inf
+        bounds = DelayBounds.unchecked(lo, hi)
+
+        lp, slack_cols = build_elastic_lp(topo, bounds, zero_edges=zero)
+        assert len(slack_cols) == m
+        got = solve_lp(lp).require_optimal().objective
+        literal = literal_elastic_lp(topo, bounds, zero)
+        want = solve_lp(literal, "scipy").require_optimal().objective
+        assert abs(got - want) <= 1e-7 * max(want, r)
+
+        diag = diagnose_infeasibility(topo, bounds, zero_edges=zero)
+        assert diag.total_slack == pytest.approx(want, rel=1e-6, abs=1e-6 * r)
+        sol = solve_lubt(
+            topo, diag.relaxed_bounds, zero_edges=zero, check_bounds=False
+        )
+        assert diag.relaxed_bounds.satisfied_by(sol.delays)
+        tree = embed_tree(topo, sol.edge_lengths)
+        assert tree.cost == pytest.approx(sol.cost)
+
+    def test_one_lp_solve(self, monkeypatch):
+        import repro.resilience.elastic as elastic
+
+        calls = []
+        real = elastic.solve_lp
+        monkeypatch.setattr(
+            elastic, "solve_lp", lambda *a: calls.append(a) or real(*a)
+        )
+        topo = instance(n=40, seed=2)
+        bounds = DelayBounds.uniform(40, 0.0, 0.6 * radius_of(topo))
+        diag = diagnose_infeasibility(topo, bounds)
+        assert diag.conflicting and len(calls) == 1
 
 
 class TestSolveLubtIntegration:

@@ -210,6 +210,61 @@ class TestRescaling:
         assert lp.objective_value(x_orig) == pytest.approx(3e7)
         assert lp.is_feasible(x_orig, tol=1.0)
 
+    def test_mixed_sense_rows_keep_their_structure(self):
+        """min x + 2y - z  s.t.  x + y >= 3e6, x - z <= -1e6,
+        y + z == 6e6 over boxed columns -> optimum -2.998e6."""
+        from repro.lp import solve_lp
+
+        lp = LinearProgram()
+        x = lp.add_variable("x", cost=1.0, ub=4e6)
+        y = lp.add_variable("y", cost=2.0, lb=1e3)
+        z = lp.add_variable("z", cost=-1.0, ub=8e6)
+        lp.add_constraint({x: 1.0, y: 1.0}, Sense.GE, 3e6, name="ge")
+        lp.add_constraint({x: 1.0, z: -1.0}, Sense.LE, -1e6, name="le")
+        lp.add_constraint({y: 1.0, z: 1.0}, Sense.EQ, 6e6, name="eq")
+        scaled, s = rescale_lp(lp)
+        assert s == 8e6
+        assert scaled.num_constraints == 3
+        for i in range(3):
+            coeffs, sense, rhs = lp.row(i)
+            assert scaled.row(i) == (coeffs, sense, rhs / s)
+            assert scaled.row_name(i) == lp.row_name(i)
+        assert np.array_equal(scaled.lower_bounds, lp.lower_bounds / s)
+        assert np.array_equal(scaled.upper_bounds, lp.upper_bounds / s)
+        assert np.array_equal(scaled.costs, lp.costs)
+        assert [scaled.variable_name(j) for j in range(3)] == ["x", "y", "z"]
+        assert scaled.tree_meta is None
+
+        res = solve_lp(scaled, "scipy").require_optimal()
+        x_orig = np.asarray(res.x) * s
+        assert lp.objective_value(x_orig) == pytest.approx(-2.998e6)
+        assert lp.is_feasible(x_orig, tol=1e-6 * s)
+        # A copy, not a view: a row added to the original stays there.
+        lp.add_constraint({x: 1.0}, Sense.LE, 1e6)
+        assert scaled.num_constraints == 3
+
+    def test_stamped_row_less_model_scales_by_its_stamp(self):
+        from repro.data import synth_instance
+        from repro.ebf.formulation import build_tree_lp
+        from repro.ebf.sweep import canonical_cost
+        from repro.lp import solve_tree
+
+        topo, bounds = synth_instance(64, 5)
+        lp = build_tree_lp(topo, bounds)
+        meta = lp.tree_meta
+        assert lp.num_constraints == 0
+        scaled, s = rescale_lp(lp)
+        stamp = np.concatenate([meta.su, meta.sv, meta.lower, meta.upper])
+        assert s == np.abs(stamp[np.isfinite(stamp)]).max() > 1.0
+        for name in ("su", "sv", "lower", "upper"):
+            assert np.array_equal(
+                getattr(scaled.tree_meta, name), getattr(meta, name) / s
+            )
+        res = solve_tree(scaled)
+        assert canonical_cost(lp.objective_value(res.x * s)) == canonical_cost(
+            solve_tree(lp).objective
+        )
+
     def test_rescaled_attempt_flagged_in_report(self):
         solvers = faults.faulty_solvers(
             {"simplex": [faults.ExceptionFault("numeric blowup")]}

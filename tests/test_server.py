@@ -28,7 +28,7 @@ from repro.data import (
     load_instance,
     save_instance,
 )
-from repro.ebf import DelayBounds, canonical_cost, solve_lubt
+from repro.ebf import DelayBounds, WarmStart, canonical_cost, solve_lubt
 from repro.geometry import Point, manhattan_radius_from
 from repro.server import (
     LruCache,
@@ -212,12 +212,12 @@ class TestWarmStore:
         s = WarmStore()
         assert s.absorb("h", [(1, 2, 0), (2, 1, 0), (1, 3, 0)]) == 2
         assert s.absorb("h", [(3, 1, 0)]) == 0
-        assert s.rows("h") == 2
+        assert s.carried("h") == ([(1, 2, 0), (1, 3, 0)], None)
 
-    def test_warm_for_seeds_a_warmstart(self):
+    def test_carried_rows_seed_a_warmstart(self):
         s = WarmStore()
         s.absorb("h", [(1, 2, 0)])
-        ws = s.warm_for("h")
+        ws = WarmStart.seeded("h", *s.carried("h"))
         assert ws.key == "h"
         assert ws.pairs == [(1, 2, 0)]
 
@@ -235,12 +235,12 @@ class TestWarmStore:
             rows, kept = s.carried(key)
             assert rows == [(1, 2, 0)] and kept is basis
 
-    def test_warm_for_carries_the_basis(self):
+    def test_carried_basis_seeds_a_warmstart(self):
         s = WarmStore()
         basis = (np.zeros(3, dtype=np.int8), np.ones(2, dtype=np.int8))
         s.absorb("h", [], basis)
         s.absorb("h", [(1, 2, 0)])  # a row deposit keeps the basis
-        ws = s.warm_for("h")
+        ws = WarmStart.seeded("h", *s.carried("h"))
         assert ws.pairs == [(1, 2, 0)] and ws.basis is basis
 
 
@@ -860,7 +860,7 @@ class TestConcurrencySoak:
             assert set(store._warm) <= {hash_a, hash_b}
             for tkey, topo in ((hash_a, topo_a), (hash_b, topo_b)):
                 n = topo.num_nodes
-                for i, j, k in store.pairs(tkey):
+                for i, j, k in store.carried(tkey)[0]:
                     assert 0 <= i < n and 0 <= j < n
             # The cache never exceeded capacity and repeats hit.
             cache_stats = handle.server.cache.stats()

@@ -35,8 +35,9 @@ from repro.lp import (
 from repro.lp.treesolve import collapsed_tree_lp, crash_basis
 from repro.resilience import (
     DEFAULT_CHAIN,
+    AllBackendsFailedError,
     default_solvers,
-    diagnose_infeasibility,
+    faults,
     solve_lp_resilient,
 )
 from repro.topology import Topology, nearest_neighbor_topology
@@ -233,16 +234,6 @@ class TestInfeasibleRouting:
         lp = build_ebf_lp(topo, bounds)
         assert solve_lp(lp, "tree").status is LpStatus.INFEASIBLE
 
-    def test_diagnosis_identical_to_generic(self):
-        topo, bounds = self._impossible()
-        via_tree = diagnose_infeasibility(topo, bounds, backend="tree")
-        via_auto = diagnose_infeasibility(topo, bounds, backend="auto")
-        assert (
-            sorted(r.sink for r in via_tree.conflicting)
-            == sorted(r.sink for r in via_auto.conflicting)
-        )
-        assert via_tree.total_slack == pytest.approx(via_auto.total_slack)
-
     def test_solver_raises_with_diagnosis(self):
         topo, bounds = self._impossible()
         with pytest.raises(InfeasibleError):
@@ -290,14 +281,18 @@ class TestCapabilityGating:
         with pytest.raises(BackendCapabilityError):
             solve_tree(lp)
 
-    def test_declines_rescaled_copy(self):
+    def test_solves_rescaled_copy(self):
+        """The rescaled copy keeps a scaled stamp, so the tree backend
+        answers it too (the resilient cascade's rescaled tree retry)."""
         from repro.resilience.fallback import rescale_lp
 
         topo = random_topo(6, 2)
         lp = build_ebf_lp(topo, DelayBounds.unbounded(6))
-        scaled, _ = rescale_lp(lp)
-        with pytest.raises(BackendCapabilityError):
-            solve_tree(scaled)
+        scaled, s = rescale_lp(lp)
+        res = solve_tree(scaled)
+        assert canonical_cost(lp.objective_value(res.x * s)) == canonical_cost(
+            solve_tree(lp).objective
+        )
 
     def test_capability_decline_falls_through_chain(self):
         """An unstamped LP through the resilient chain lands on a generic
@@ -350,13 +345,15 @@ class TestAutoDispatch:
             assert (sol.stats.backend == "tree") is (m >= TREE_MIN_SINKS)
 
     def test_lazy_loop_keeps_full_resilient_and_explicit_generic(self):
+        """Full mode, a warm store and an explicit generic backend,
+        resilient or not, keep ``auto``'s lazy loop."""
         topo = random_topo(TREE_MIN_SINKS, 4)
         bounds = DelayBounds.normalized(topo, 0.8, 1.2)
         for kw in (
             {"mode": "full"},
-            {"resilient": True},
             {"backend": "scipy"},
             {"backend": "simplex"},
+            {"backend": "simplex", "resilient": True},
             {"warm": WarmStart()},
         ):
             assert solve_lubt(topo, bounds, **kw).stats.backend != "tree", kw
@@ -490,6 +487,88 @@ class TestAutoDispatch:
         )
         assert auto.diagnosis is not None and ref.diagnosis is not None
         assert canonical_cost(auto.cost) == canonical_cost(ref.cost)
+
+
+class TestResilientTreeLane:
+    """A resilient solve at or above :data:`TREE_MIN_SINKS` attempts the
+    direct tree LP, then its rescaled retry; the lazy loop answers only
+    when both fail."""
+
+    @staticmethod
+    def _instance(m):
+        topo = random_topo(m, 3, fixed=True)
+        bounds = DelayBounds.normalized(topo, 0.8, 1.2)
+        return topo, bounds, canonical_cost(solve_lubt(topo, bounds).cost)
+
+    @staticmethod
+    def _attempts(sol):
+        return [
+            (a.backend, a.rescaled, a.outcome)
+            for report in sol.solve_reports
+            for a in report.attempts
+        ]
+
+    def test_resilient_auto_takes_the_tree_path(self):
+        topo, bounds, want = self._instance(TREE_MIN_SINKS)
+        sol = solve_lubt(topo, bounds, resilient=True)
+        stats = sol.stats
+        assert (stats.backend, stats.rounds, stats.steiner_rows) == (
+            "tree", 1, 0
+        )
+        assert canonical_cost(sol.cost) == want
+        assert self._attempts(sol) == [("tree", False, "optimal")]
+
+    @pytest.mark.parametrize("m", [TREE_MIN_SINKS, 64])
+    @pytest.mark.parametrize("backend", ["auto", "tree"])
+    def test_failed_tree_lane_falls_back_to_the_loop(self, m, backend):
+        """Every ``tree`` call raises: the loop answers on the backend
+        ``auto`` picks, behind the two tree attempts."""
+        topo, bounds, want = self._instance(m)
+        solvers = faults.faulty_solvers(
+            {"tree": [faults.ExceptionFault("tree down")] * 99}
+        )
+        sol = solve_lubt(
+            topo, bounds, backend=backend, resilient=True, solvers=solvers
+        )
+        assert canonical_cost(sol.cost) == want
+        loop = {"simplex": "simplex", "scipy-highs": "scipy"}[
+            sol.stats.backend
+        ]
+        assert self._attempts(sol) == [
+            ("tree", False, "exception"),
+            ("tree", True, "exception"),
+        ] + [(loop, False, "optimal")] * sol.stats.rounds
+        assert sol.stats.lp_fallbacks == 2
+
+    @pytest.mark.parametrize("m", [TREE_MIN_SINKS, 64])
+    def test_rescaled_tree_retry_answers(self, m):
+        topo, bounds, want = self._instance(m)
+        solvers = faults.faulty_solvers(
+            {"tree": [faults.ExceptionFault("tree hiccup")]}
+        )
+        sol = solve_lubt(topo, bounds, resilient=True, solvers=solvers)
+        assert (sol.stats.backend, sol.stats.rounds) == ("tree", 1)
+        assert canonical_cost(sol.cost) == want
+        assert self._attempts(sol) == [
+            ("tree", False, "exception"),
+            ("tree", True, "optimal"),
+        ]
+
+    def test_total_outage_report_lists_the_tree_lane(self):
+        topo, bounds, _ = self._instance(TREE_MIN_SINKS)
+        down = [faults.ExceptionFault("down")] * 99
+        solvers = faults.faulty_solvers(
+            {"simplex": down, "scipy": down, "tree": down}
+        )
+        with pytest.raises(AllBackendsFailedError) as info:
+            solve_lubt(topo, bounds, resilient=True, solvers=solvers)
+        attempts = info.value.report.attempts
+        assert [(a.backend, a.rescaled) for a in attempts] == [
+            (name, rescaled)
+            for name in ("tree", "simplex", "scipy", "tree")
+            for rescaled in (False, True)
+        ]
+        assert "tree (rescaled): exception" in str(info.value)
 
 
 class TestServerIntegration:
