@@ -534,15 +534,24 @@ def _check_built_lp(lp) -> None:
 def _handle_infeasible(topo, bounds, on_infeasible, retry_kwargs):
     """Shared ``"diagnose"``/``"relax"`` path: run the elastic re-solve,
     then either raise with the diagnosis attached or solve under the
-    relaxed bounds."""
-    from repro.resilience import diagnose_infeasibility
-
-    diag = diagnose_infeasibility(
-        topo,
-        bounds,
-        zero_edges=retry_kwargs["zero_edges"],
-        resilient=retry_kwargs["resilient"],
+    relaxed bounds.  A resilient solve's elastic LP goes through its
+    breakers and backend overrides, like its other LPs."""
+    from repro.resilience.elastic import (
+        build_elastic_lp,
+        read_elastic_solution,
     )
+
+    lp, slack_cols = build_elastic_lp(
+        topo, bounds, zero_edges=retry_kwargs["zero_edges"]
+    )
+    if retry_kwargs["resilient"]:
+        result = solve_lp_resilient(
+            lp, breakers=retry_kwargs["breakers"],
+            solvers=retry_kwargs["solvers"],
+        ).result
+    else:
+        result = solve_lp(lp)
+    diag = read_elastic_solution(topo, bounds, slack_cols, result)
     if on_infeasible == "diagnose":
         err = InfeasibleError(
             "no LUBT exists for these bounds (Section 9 certificate)\n"

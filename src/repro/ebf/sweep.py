@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 
 from repro.ebf.bounds import DelayBounds
 from repro.ebf.solver import LubtSolution, solve_lubt
+from repro.topology.serialize import topology_hash
 
 #: Significant mantissa bits kept by :func:`canonical_cost` — 33 bits is
 #: ~1e-10 relative resolution: far above the ~1e-16 degenerate-vertex
@@ -76,23 +77,20 @@ class WarmStart:
     to thread through heterogeneous drivers like the Table 1 suite —
     while two *distinct but identical* topology objects (one per client
     request, one per worker process) share their state, the property
-    the :mod:`repro.server` cross-request warm store is built on.  An
-    identity fast path keeps the common same-object sweep free of
-    re-hashing.  It holds no solver object, so it pickles.
+    the :mod:`repro.server` cross-request warm store is built on.  The
+    digest is stored on the topology, so checking it costs one
+    attribute read per solve.  It holds no solver object, so it
+    pickles.
     """
 
     #: Structural hash the carried rows belong to.
     key: str | None = None
-    #: Last topology object seen (identity fast path only).
-    topology: object | None = field(default=None, repr=False)
     #: Carried ``(i, j, lca)`` rows in first-discovery order.
     pairs: list[tuple[int, int, int]] = field(default_factory=list)
     _seen: set[tuple[int, int]] = field(default_factory=set, repr=False)
     #: Last optimal ``(col_status, row_status)`` basis of the collapsed
     #: tree LP (:mod:`repro.lp.treesolve`), or None.
     basis: tuple | None = field(default=None, repr=False)
-    #: Solves that absorbed into this object (diagnostics only).
-    solves: int = 0
 
     @classmethod
     def seeded(
@@ -129,17 +127,12 @@ class WarmStart:
         return fresh
 
     def _rekey(self, topo) -> None:
-        if topo is self.topology:
-            return
-        from repro.topology.serialize import topology_hash
-
         h = topology_hash(topo)
         if h != self.key:
             self.key = h
             self.pairs = []
             self._seen = set()
             self.basis = None
-        self.topology = topo
 
     def pairs_for(self, topo) -> list[tuple[int, int, int]]:
         """The carried rows, valid for ``topo`` (empty after a reset)."""
@@ -161,7 +154,6 @@ class WarmStart:
         keep its final basis, if it has one."""
         self._rekey(topo)
         self.merge(new_pairs, basis)
-        self.solves += 1
 
 
 def solve_sweep(

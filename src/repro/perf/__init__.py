@@ -9,7 +9,8 @@ a solve: :mod:`repro.resilience` runs its cascade inline, with no clock.
 
 * :func:`run_many` — the one batch executor: ordered fan-out of a
   picklable function over argument tuples, inline when serial, else
-  chunked over a resident pool with per-task kill-on-timeout and
+  chunked over a resident pool (chunk sizes tuned from an EWMA of the
+  batch's per-task seconds) with per-task kill-on-timeout and
   completion-ordered ``on_result`` streaming; :func:`map_many` is its
   unwrapped form;
 * :func:`solve_many` — batch :func:`repro.ebf.solve_lubt` over
@@ -20,8 +21,6 @@ a solve: :mod:`repro.resilience` runs its cascade inline, with no clock.
   (the :mod:`repro.server` dispatch path and every parallel batch),
   plus a consecutive-crash cap (:class:`PoolCrashLoopError`) so a
   poison task cannot respawn workers forever;
-* :class:`BatchScheduler` — the chunked dispatch under :func:`run_many`,
-  with EWMA-tuned chunk sizes;
 * :class:`SolveJournal` — crash-safe JSONL checkpoint of completed
   solves keyed by canonical instance key; ``solve_many`` /
   ``solve_sweep_sharded`` take ``journal=`` to resume a killed batch;
@@ -45,7 +44,6 @@ from repro.perf.pool import (
 from repro.perf.scheduler import (
     DEFAULT_CHUNK_SECONDS,
     DEFAULT_MAX_CHUNK,
-    BatchScheduler,
     map_many,
     run_many,
 )
@@ -69,7 +67,6 @@ from repro.perf.cts import (
 )
 
 __all__ = [
-    "BatchScheduler",
     "ChunkResult",
     "CtsNetResult",
     "CtsReport",

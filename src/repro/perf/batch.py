@@ -11,7 +11,7 @@ dataclass-style containers and are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.perf.journal import (
     SolveJournal,
@@ -42,6 +42,43 @@ def _task_key(topo: Any, bounds: Any, options: Mapping[str, Any]) -> str:
     from repro.server.keys import instance_key
 
     return instance_key(topo, bounds, dict(options))
+
+
+def _replay_journal(
+    journal: SolveJournal | None,
+    instances: Sequence[tuple[Any, Any, Mapping[str, Any]]],
+) -> tuple[dict[int, Any], list[int], Callable[[int, Any], None]]:
+    """Split ``(topo, bounds, options)`` instances into journal replays
+    and fresh work.
+
+    Returns ``(replayed, fresh, record)``: ``replayed`` maps an index to
+    the solution rebuilt from its journal record (each one counted in
+    ``journal.replayed``), ``fresh`` lists the other indices in order,
+    and ``record(i, solution)`` durably appends a fresh success the
+    moment it lands, once per key.  Without a journal every instance is
+    fresh and ``record`` does nothing.
+    """
+    if journal is None:
+        return {}, list(range(len(instances))), lambda i, sol: None
+    keys = [_task_key(*inst) for inst in instances]
+    done = journal.load()
+    replayed: dict[int, Any] = {}
+    fresh: list[int] = []
+    for i, (topo, bounds, _) in enumerate(instances):
+        rec = done.get(keys[i])
+        if rec is None:
+            fresh.append(i)
+        else:
+            replayed[i] = solution_from_record(rec, topo, bounds)
+            journal.replayed += 1
+
+    def record(i: int, sol: Any) -> None:
+        if keys[i] not in done:
+            rec = solution_to_record(sol)
+            journal.append(keys[i], rec)
+            done[keys[i]] = rec
+
+    return replayed, fresh, record
 
 
 def solve_many(
@@ -78,26 +115,14 @@ def solve_many(
     Failed/timed-out tasks are never journaled; a resume retries them.
     """
     tasks = list(tasks)
+    replayed, fresh, record = _replay_journal(
+        journal, [(t.topo, t.bounds, t.options) for t in tasks]
+    )
     results: list[TaskOutcome | None] = [None] * len(tasks)
-    fresh: list[int] = list(range(len(tasks)))
-
-    keys: list[str] | None = None
-    done: dict[str, dict] = {}
-    if journal is not None:
-        keys = [_task_key(t.topo, t.bounds, t.options) for t in tasks]
-        done = journal.load()
-        fresh = []
-        for i, t in enumerate(tasks):
-            rec = done.get(keys[i])
-            if rec is not None:
-                results[i] = TaskOutcome(
-                    i, True, solution_from_record(rec, t.topo, t.bounds)
-                )
-                journal.replayed += 1
-                if on_result is not None:
-                    on_result(results[i])
-            else:
-                fresh.append(i)
+    for i, sol in replayed.items():
+        results[i] = TaskOutcome(i, True, sol)
+        if on_result is not None:
+            on_result(results[i])
 
     def _completed(o: TaskOutcome) -> None:
         i = fresh[o.index]
@@ -105,10 +130,8 @@ def solve_many(
             i, o.ok, o.value, o.error, o.timed_out, o.crashed, o.elapsed
         )
         results[i] = out
-        if journal is not None and o.ok and keys[i] not in done:
-            rec = solution_to_record(o.value)
-            journal.append(keys[i], rec)
-            done[keys[i]] = rec
+        if o.ok:
+            record(i, o.value)
         if on_result is not None:
             on_result(out)
 
@@ -191,21 +214,10 @@ def solve_sweep_sharded(
     table reports.
     """
     bounds_list = list(bounds_list)
-    results: list[Any] = [None] * len(bounds_list)
-    missing = list(range(len(bounds_list)))
-    keys: list[str] | None = None
-    done: dict[str, dict] = {}
-    if journal is not None:
-        keys = [_task_key(topo, b, options) for b in bounds_list]
-        done = journal.load()
-        missing = []
-        for i, b in enumerate(bounds_list):
-            rec = done.get(keys[i])
-            if rec is not None:
-                results[i] = solution_from_record(rec, topo, b)
-                journal.replayed += 1
-            else:
-                missing.append(i)
+    replayed, missing, record = _replay_journal(
+        journal, [(topo, b, options) for b in bounds_list]
+    )
+    results: list[Any] = [replayed.get(i) for i in range(len(bounds_list))]
 
     spans = sweep_chunks(len(missing), max(1, jobs))
     shards = [missing[a:b] for a, b in spans]
@@ -216,10 +228,7 @@ def solve_sweep_sharded(
     def _commit(k: int, sols: list[Any]) -> None:
         for i, sol in zip(shards[k], sols):
             results[i] = sol
-            if journal is not None and keys[i] not in done:
-                rec = solution_to_record(sol)
-                journal.append(keys[i], rec)
-                done[keys[i]] = rec
+            record(i, sol)
 
     def _shard_done(o: TaskOutcome) -> None:
         if o.ok:

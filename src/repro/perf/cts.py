@@ -3,15 +3,15 @@
 The multi-net clock-tree flow: parse a placement, group its flops into
 clock nets, build a per-net topology (H-tree / bipartition /
 nearest-neighbor by size), attach a per-net delay window normalized to
-the net's own radius, and push every net through the chunked
-:class:`~repro.perf.BatchScheduler` on one resident worker pool — with
+the net's own radius, and push every net through the chunked dispatch of
+:func:`~repro.perf.run_many` on one resident worker pool — with
 optional crash-safe journal/resume, exactly like the experiment tables.
 
 This is the throughput stress test of the whole perf stack: at 10k nets
 the per-net solve is milliseconds, so nets/second is decided by
 dispatch overhead, which is what the scheduler's fork-once chunked
 design exists to remove.  :func:`run_cts` reports it directly
-(``nets_per_second``, per-net latency percentiles, scheduler counters).
+(``nets_per_second``, per-net latency percentiles, pool counters).
 """
 
 from __future__ import annotations
@@ -109,8 +109,6 @@ def cts_tasks(
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
     nets: int | None = None,
-    max_sinks_per_net: int | None = None,
-    solve_options: Mapping[str, Any] | None = None,
 ) -> list[tuple[ClockNet, SolveTask]]:
     """Turn a placement into per-net :class:`~repro.perf.SolveTask` s.
 
@@ -119,10 +117,9 @@ def cts_tasks(
     ``[lower, upper]`` x that net's radius — per-net bounds, since a
     2mm block net and a 200um leaf net live at different scales.
     ``nets`` caps how many nets are taken (file order, the natural
-    "first N nets of the design" prefix); ``max_sinks_per_net`` splits
-    oversize groups before building.  Single-sink nets are skipped — a
-    one-sink net has no tree to optimize.  ``solve_options`` pass
-    through to every net's ``solve_lubt`` call.
+    "first N nets of the design" prefix).  Single-sink nets are skipped
+    — a one-sink net has no tree to optimize.  Every net is solved with
+    ``solve_lubt``'s defaults.
     """
     from repro.geometry import manhattan_radius_from
     from repro.ebf import DelayBounds
@@ -130,10 +127,9 @@ def cts_tasks(
 
     if isinstance(placement, (str, Path)):
         placement = parse_placement_map(placement)
-    all_nets = extract_clock_nets(placement, max_sinks=max_sinks_per_net)
+    all_nets = extract_clock_nets(placement)
     if nets is not None:
         all_nets = all_nets[:nets]
-    options = dict(solve_options or {})
     out: list[tuple[ClockNet, SolveTask]] = []
     for net in all_nets:
         if net.num_sinks < 2:
@@ -144,7 +140,7 @@ def cts_tasks(
         bounds = DelayBounds.uniform(
             len(sinks), lower * radius, upper * radius
         )
-        out.append((net, SolveTask(topo, bounds, options)))
+        out.append((net, SolveTask(topo, bounds)))
     return out
 
 
@@ -158,9 +154,7 @@ def run_cts(
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
     nets: int | None = None,
-    max_sinks_per_net: int | None = None,
     pool: WorkerPool | None = None,
-    solve_options: Mapping[str, Any] | None = None,
     on_net: Callable[[CtsNetResult], Any] | None = None,
     tasks: Sequence[tuple[ClockNet, SolveTask]] | None = None,
 ) -> CtsReport:
@@ -187,8 +181,6 @@ def run_cts(
         lower=lower,
         upper=upper,
         nets=nets,
-        max_sinks_per_net=max_sinks_per_net,
-        solve_options=solve_options,
     )
     net_results: list[CtsNetResult | None] = [None] * len(pairs)
 

@@ -6,7 +6,7 @@ model can spin for minutes).  A :class:`WorkerPool` forks its workers
 once and ships them chunks of tasks over duplex pipes; a task that
 overruns its timeout gets its worker killed (SIGKILL) and replaced, so
 the CPU is actually reclaimed.  Batches run on top of it through
-:mod:`repro.perf.scheduler`.
+:func:`repro.perf.run_many`.
 """
 
 from __future__ import annotations
@@ -204,11 +204,11 @@ class WorkerPool:
 
     Thread-safe: concurrent :meth:`submit_chunk` calls check out
     distinct workers (blocking while all are busy), which is what lets
-    an asyncio server fan requests out from executor threads and the
-    :class:`~repro.perf.BatchScheduler` drive one dispatch thread per
-    worker.  ``fn`` and its arguments must be picklable even under the
-    fork start method — resident workers are forked once, so tasks
-    always travel by pipe.
+    an asyncio server fan requests out from executor threads and
+    :func:`~repro.perf.run_many` drive one dispatch thread per worker.
+    ``fn`` and its arguments must be picklable even under the fork
+    start method — resident workers are forked once, so tasks always
+    travel by pipe.
     """
 
     def __init__(self, jobs: int = 2, start_method: str | None = None):

@@ -34,6 +34,7 @@ import numpy as np
 from repro.ebf.bounds import DelayBounds
 from repro.ebf.formulation import build_tree_lp
 from repro.lp import LinearProgram, Sense, solve_lp
+from repro.lp.result import LpResult
 from repro.lp.treesolve import collapsed_tree_lp
 from repro.resilience.fallback import solve_lp_resilient
 
@@ -178,6 +179,23 @@ def diagnose_infeasibility(
     """
     lp, slack_cols = build_elastic_lp(topo, bounds, zero_edges=zero_edges)
     result = solve_lp_resilient(lp).result if resilient else solve_lp(lp)
+    return read_elastic_solution(topo, bounds, slack_cols, result)
+
+
+def read_elastic_solution(
+    topo,
+    bounds: DelayBounds,
+    slack_cols: dict[int, tuple[int | None, int | None]],
+    result: LpResult,
+) -> InfeasibilityDiagnosis:
+    """Read the minimal per-sink relaxation off a solve of
+    :func:`build_elastic_lp`'s model.
+
+    Slacks at or below a tolerance scaled by the bounds' magnitude count
+    as zero; each positive one relaxes its bound, padded by that
+    tolerance.  A non-optimal ``result`` raises as
+    :meth:`~repro.lp.LpResult.require_optimal` does.
+    """
     result = result.require_optimal()
 
     scale = 1.0

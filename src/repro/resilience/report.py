@@ -67,13 +67,6 @@ class SolveReport:
     unbounded — all three are definitive answers about the model), or
     ``None`` when every backend in the chain failed.
 
-    The provenance trio (``instance_key``, ``cache_hit``, ``warm_rows``)
-    is stamped by the :mod:`repro.server` dispatch layer so streamed
-    telemetry says not just *how* an answer was computed but *where it
-    came from*: a cache-served report has ``cache_hit=True`` (and no
-    fresh attempts), and ``warm_rows`` counts Steiner rows re-seeded
-    from the cross-request warm store before the first LP solve.
-
     ``breaker_states`` records the per-backend circuit-breaker state
     (``closed`` / ``open`` / ``half-open``) *after* this solve, when a
     :class:`~repro.resilience.breaker.BreakerRegistry` was consulted —
@@ -82,12 +75,6 @@ class SolveReport:
 
     attempts: list[SolveAttempt] = field(default_factory=list)
     result: LpResult | None = None
-    #: Canonical instance key of the request this solve answered.
-    instance_key: str | None = None
-    #: Answer served verbatim from the result cache (no LP ran).
-    cache_hit: bool = False
-    #: Steiner rows seeded from a cross-request WarmStart carry-over.
-    warm_rows: int = 0
     #: Circuit-breaker state per backend after this solve (when a
     #: registry was consulted; empty otherwise).
     breaker_states: dict = field(default_factory=dict)
@@ -116,18 +103,12 @@ class SolveReport:
 
     def summary(self) -> str:
         lines = [a.describe() for a in self.attempts]
-        if self.cache_hit:
-            lines.append("=> served from result cache (no LP attempted)")
-        elif self.result is None:
+        if self.result is None:
             lines.append("=> all backends failed")
         else:
             lines.append(
                 f"=> {self.result.status.value} via {self.result.backend}"
             )
-        if self.warm_rows:
-            lines.append(f"   warm-seeded {self.warm_rows} Steiner rows")
-        if self.instance_key:
-            lines.append(f"   instance {self.instance_key[:16]}…")
         if self.breaker_states:
             lines.append(
                 "   breakers: "

@@ -13,9 +13,7 @@ The client retries transient failures so callers don't have to: a
 refused/odd connection is retried with exponential backoff and
 deterministic jitter (``connect_retries``), and a typed ``busy`` shed
 from admission control is retried after the server's ``retry_after``
-hint (``busy_retries``).  Both loops respect ``retry_deadline`` — a
-total wall-clock budget after which the last error surfaces instead of
-another sleep.  ``sleep``/``clock`` are injectable so the backoff
+hint (``busy_retries``).  ``sleep`` is injectable so the backoff
 schedule is unit-testable with a fake clock.
 """
 
@@ -33,6 +31,12 @@ from repro.topology.serialize import topology_to_dict
 from repro.topology.tree import Topology
 
 import json
+
+#: First backoff delay (seconds); attempt ``k`` waits up to
+#: ``BACKOFF_SECONDS * 2**k``, capped at :data:`BACKOFF_CAP_SECONDS`,
+#: scaled by a deterministic jitter in ``[0.5, 1]``.
+BACKOFF_SECONDS = 0.2
+BACKOFF_CAP_SECONDS = 5.0
 
 
 class ServerError(RuntimeError):
@@ -61,8 +65,7 @@ class ServerClient:
     its socket, or a load balancer blip, shouldn't kill a batch script.
     ``busy_retries`` bounds re-sends after typed ``busy`` sheds, waiting
     at least the server's ``retry_after`` hint between attempts.
-    ``retry_deadline`` caps the *total* seconds spent retrying either
-    way; ``jitter_seed`` makes the backoff schedule reproducible.
+    ``jitter_seed`` makes the backoff schedule reproducible.
     """
 
     def __init__(
@@ -73,24 +76,14 @@ class ServerClient:
         timeout: float | None = 300.0,
         connect_retries: int = 4,
         busy_retries: int = 4,
-        backoff: float = 0.2,
-        backoff_cap: float = 5.0,
-        retry_deadline: float | None = None,
         jitter_seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
     ):
         if connect_retries < 0 or busy_retries < 0:
             raise ValueError("retry counts must be >= 0")
         self._busy_retries = busy_retries
-        self._backoff = backoff
-        self._backoff_cap = backoff_cap
         self._rng = random.Random(jitter_seed)
         self._sleep = sleep
-        self._clock = clock
-        self._deadline_at = (
-            None if retry_deadline is None else clock() + retry_deadline
-        )
         self._sock = self._connect(host, port, timeout, connect_retries)
         self._file = self._sock.makefile("rb")
         self._next_id = 0
@@ -100,14 +93,8 @@ class ServerClient:
     # ------------------------------------------------------------------
     def _backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with deterministic jitter in [0.5x, 1x]."""
-        base = min(self._backoff_cap, self._backoff * (2.0 ** attempt))
+        base = min(BACKOFF_CAP_SECONDS, BACKOFF_SECONDS * (2.0 ** attempt))
         return base * (0.5 + 0.5 * self._rng.random())
-
-    def _budget_allows(self, delay: float) -> bool:
-        """Would sleeping ``delay`` stay inside the retry deadline?"""
-        if self._deadline_at is None:
-            return True
-        return self._clock() + delay <= self._deadline_at
 
     def _connect(
         self, host: str, port: int, timeout: float | None, retries: int
@@ -120,7 +107,7 @@ class ServerClient:
                 )
             except OSError:
                 delay = self._backoff_delay(attempt)
-                if attempt >= retries or not self._budget_allows(delay):
+                if attempt >= retries:
                     raise
                 self._sleep(delay)
                 attempt += 1
@@ -164,9 +151,7 @@ class ServerClient:
                 float(reply.get("retry_after", 0.0)),
                 self._backoff_delay(attempt),
             )
-            if attempt >= self._busy_retries or not self._budget_allows(
-                delay
-            ):
+            if attempt >= self._busy_retries:
                 raise ServerBusyError(reply)
             self._sleep(delay)
             attempt += 1

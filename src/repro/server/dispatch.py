@@ -44,7 +44,6 @@ from repro.data.instance_json import instance_from_dict
 from repro.ebf.bounds import DelayBounds
 from repro.ebf.sweep import WarmStart, canonical_cost
 from repro.resilience.breaker import BreakerRegistry, default_registry
-from repro.resilience.report import SolveReport
 from repro.resilience.sanitize import StallMonitor
 from repro.server.cache import LruCache
 from repro.server.keys import instance_key
@@ -285,8 +284,6 @@ class SolveServer:
         self.last_stall_stats: dict[str, Any] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
-        #: Provenance reports of the most recent requests (telemetry).
-        self.recent_reports: list[SolveReport] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -543,10 +540,6 @@ class SolveServer:
         )
 
     def _cache_reply(self, key: str, cached: dict) -> dict[str, Any]:
-        self._record_report(
-            SolveReport(instance_key=key, cache_hit=True,
-                        warm_rows=cached["stats"]["warm_rows"])
-        )
         return {
             "instance_key": key,
             "cache_hit": True,
@@ -615,10 +608,6 @@ class SolveServer:
         self._merge_breakers(payload.pop("breakers", None))
         self.warm.absorb(tkey, pairs, basis)
         self.cache.put(key, payload)
-        self._record_report(
-            SolveReport(instance_key=key, cache_hit=False,
-                        warm_rows=payload["stats"]["warm_rows"])
-        )
         return {
             "instance_key": key,
             "cache_hit": False,
@@ -655,10 +644,6 @@ class SolveServer:
             else "failed"
         )
         raise RuntimeError(f"pooled solve {kind}: {outcome.error}")
-
-    def _record_report(self, report: SolveReport) -> None:
-        self.recent_reports.append(report)
-        del self.recent_reports[:-64]
 
     def _stats_reply(self, req_id: Any) -> dict[str, Any]:
         uptime = (

@@ -14,7 +14,6 @@ from repro.ebf import DelayBounds
 from repro.experiments import render_table3, run_table3
 from repro.geometry import manhattan_radius_from
 from repro.perf import (
-    BatchScheduler,
     PoolCrashLoopError,
     SolveTask,
     TaskError,
@@ -395,37 +394,56 @@ class TestPoolStats:
         assert stats["pool_reuse"] == 1  # only the second _square reused
 
 
+def _record_chunks(monkeypatch):
+    """Rebind ``WorkerPool.submit_chunk`` on the class to log every
+    chunk's argument tuples; returns the log."""
+    chunks = []
+    real = WorkerPool.submit_chunk
+
+    def logged(self, fn, args_list, **kwargs):
+        chunks.append(list(args_list))
+        return real(self, fn, args_list, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "submit_chunk", logged)
+    return chunks
+
+
 class TestBatchScheduler:
+    """``run_many(..., pool=pool)``: chunked dispatch on a caller's pool."""
+
     def test_run_returns_ordered_outcomes(self):
         with WorkerPool(jobs=2) as pool:
-            sched = BatchScheduler(pool)
-            outs = sched.run(_square, [(i,) for i in range(40)])
+            outs = run_many(_square, [(i,) for i in range(40)], pool=pool)
         assert [o.unwrap() for o in outs] == [i * i for i in range(40)]
         assert [o.index for o in outs] == list(range(40))
 
-    def test_chunks_grow_from_ewma(self):
+    def test_chunks_grow_from_ewma(self, monkeypatch):
+        chunks = _record_chunks(monkeypatch)
         with WorkerPool(jobs=1) as pool:
-            sched = BatchScheduler(pool)
-            sched.run(_square, [(i,) for i in range(64)])
-            stats = sched.stats()
-        # Fast tasks -> the EWMA drives chunks far beyond size-1 probes,
-        # so 64 tasks take far fewer than 64 dispatches.
-        assert stats["tasks_done"] == 64
-        assert stats["chunks_dispatched"] < 32
-        assert stats["pool_reuse"] >= 63 - stats["chunks_dispatched"]
+            outs = run_many(_square, [(i,) for i in range(64)], pool=pool)
+            stats = pool.stats()
+        assert [o.unwrap() for o in outs] == [i * i for i in range(64)]
+        # Fast tasks -> the EWMA drives chunks far beyond the size-1
+        # probe, so 64 tasks take far fewer than 64 dispatches.
+        assert len(chunks[0]) == 1
+        assert sum(map(len, chunks)) == 64
+        assert len(chunks) < 32
+        assert stats["pool_reuse"] >= 63 - len(chunks)
 
-    def test_timeout_survivors_are_resubmitted(self):
+    def test_timeout_survivors_are_resubmitted(self, monkeypatch):
+        chunks = _record_chunks(monkeypatch)
         with WorkerPool(jobs=1) as pool:
-            sched = BatchScheduler(pool)
-            outs = sched.run(
-                _sleep_if_three, [(i,) for i in range(6)], timeout=1.0
+            outs = run_many(
+                _sleep_if_three, [(i,) for i in range(6)], timeout=1.0,
+                pool=pool,
             )
-            stats = sched.stats()
         assert [o.ok for o in outs] == [True] * 3 + [False] + [True] * 2
         assert outs[3].timed_out
-        # Items 4-5 were survivors of the killed chunk and re-ran.
         assert [o.unwrap() for o in outs if o.ok] == [0, 10, 20, 40, 50]
-        assert stats["resubmitted"] >= 1
+        # Items 4-5 were survivors of the killed chunk and were sent again.
+        sent = [args[0] for chunk in chunks for args in chunk]
+        assert sent.count(3) == 1
+        assert sent.count(4) == sent.count(5) == 2
 
     def test_raising_callback_leaves_the_pool_usable(self):
         def boom(_outcome):
@@ -433,21 +451,59 @@ class TestBatchScheduler:
 
         with WorkerPool(jobs=2) as pool:
             with pytest.raises(OSError, match="disk full"):
-                BatchScheduler(pool).run(
-                    _square, [(i,) for i in range(10)], on_result=boom
+                run_many(
+                    _square, [(i,) for i in range(10)], pool=pool,
+                    on_result=boom,
                 )
-            outs = BatchScheduler(pool).run(_square, [(i,) for i in range(10)])
+            outs = run_many(_square, [(i,) for i in range(10)], pool=pool)
         assert [o.unwrap() for o in outs] == [i * i for i in range(10)]
 
     def test_completion_callback_sees_every_task_once(self):
         seen = []
         with WorkerPool(jobs=2) as pool:
-            BatchScheduler(pool).run(
+            run_many(
                 _square,
                 [(i,) for i in range(20)],
+                pool=pool,
                 on_result=lambda o: seen.append(o.index),
             )
         assert sorted(seen) == list(range(20))
+
+    def test_contended_dispatch_loses_no_task_or_callback(self):
+        """Four dispatch threads on two cores, switching every
+        microsecond: the shared queue hands out each task once, and the
+        callbacks run one at a time, so the callback's unlocked
+        read-yield-write of a counter loses no count."""
+        n = 300
+        seen = []
+        calls = [0]
+        outs = []
+
+        def on_result(o):
+            seen.append(o.index)
+            count = calls[0]
+            time.sleep(1e-4)  # widen the window another callback could use
+            calls[0] = count + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(jobs=4) as pool:
+                runner = threading.Thread(
+                    target=lambda: outs.extend(run_many(
+                        _square, [(i,) for i in range(n)], pool=pool,
+                        on_result=on_result,
+                    )),
+                    daemon=True,
+                )
+                runner.start()
+                runner.join(timeout=120)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls[0] == n
+        assert sorted(seen) == list(range(n))
+        assert [o.unwrap() for o in outs] == [i * i for i in range(n)]
 
 
 class TestExperimentJobs:

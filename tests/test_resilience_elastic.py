@@ -305,6 +305,34 @@ class TestSolveLubtIntegration:
         assert sol.diagnosis.relaxed_bounds.satisfied_by(tree.sink_delays())
         assert len(tree.placements) == topo.num_nodes
 
+    def test_resilient_diagnosis_uses_the_solves_breakers_and_solvers(self):
+        """The elastic LP of a resilient solve goes through the solve's
+        breaker registry and backend overrides like its other LPs: with
+        ``scipy`` and ``tree`` faulted, the diagnosis fails over and the
+        solve raises instead of relaxing through the real backends."""
+        from repro.data import uniform_sinks
+        from repro.lp.scipy_backend import solve_scipy
+        from repro.lp.treesolve import solve_tree
+        from repro.resilience import AllBackendsFailedError, BreakerRegistry
+        from repro.resilience.faults import ExceptionFault, FaultyBackend
+
+        topo = nearest_neighbor_topology(
+            uniform_sinks(12, seed=3), Point(50.0, 50.0)
+        )
+        r = radius_of(topo)
+        bounds = DelayBounds.uniform(12, 0.2 * r, 0.9 * r)
+        scipy = FaultyBackend(solve_scipy, [ExceptionFault()] * 99, "scipy")
+        tree = FaultyBackend(solve_tree, [ExceptionFault()] * 99, "tree")
+        registry = BreakerRegistry()
+        with pytest.raises(AllBackendsFailedError):
+            solve_lubt(
+                topo, bounds, check_bounds=False, resilient=True,
+                on_infeasible="relax", breakers=registry,
+                solvers={"scipy": scipy, "tree": tree},
+            )
+        assert scipy.calls > 0
+        assert "scipy" in registry.states()
+
 
 class TestCli:
     def test_diagnose_flag_prints_and_degrades(self, capsys):

@@ -45,6 +45,7 @@ from repro.server import (
     jsonable,
     quantize_bounds,
 )
+from repro.server.client import BACKOFF_CAP_SECONDS, BACKOFF_SECONDS
 from repro.topology import nearest_neighbor_topology, topology_hash
 
 
@@ -629,16 +630,11 @@ class TestBreakerVisibility:
 
 
 class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = t
+    def __init__(self):
         self.sleeps = []
-
-    def __call__(self):
-        return self.t
 
     def sleep(self, dt):
         self.sleeps.append(dt)
-        self.t += dt
 
 
 class TestClientRetry:
@@ -655,39 +651,24 @@ class TestClientRetry:
                 port=dead_port,
                 connect_retries=3,
                 sleep=clock.sleep,
-                clock=clock,
             )
         assert len(clock.sleeps) == 3
         # Exponential envelope: every delay is in [0.5, 1.0] x base*2^k.
         for k, delay in enumerate(clock.sleeps):
-            base = 0.2 * (2.0 ** k)
+            base = BACKOFF_SECONDS * (2.0 ** k)
             assert 0.5 * base <= delay <= base
-
-    def test_retry_deadline_caps_connect_retries(self):
-        clock = FakeClock()
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        dead_port = sock.getsockname()[1]
-        sock.close()
-        with pytest.raises(OSError):
-            ServerClient(
-                port=dead_port,
-                connect_retries=50,
-                retry_deadline=0.5,
-                sleep=clock.sleep,
-                clock=clock,
-            )
-        assert clock.t <= 0.5  # gave up once the budget ran out
 
     def test_jitter_is_deterministic_per_seed(self):
         a = ServerClient.__new__(ServerClient)
         b = ServerClient.__new__(ServerClient)
         for obj in (a, b):
-            obj._backoff, obj._backoff_cap = 0.2, 5.0
             obj._rng = random.Random(42)
-        assert [a._backoff_delay(k) for k in range(5)] == [
-            b._backoff_delay(k) for k in range(5)
-        ]
+        delays = [a._backoff_delay(k) for k in range(8)]
+        assert delays == [b._backoff_delay(k) for k in range(8)]
+        # The envelope doubles from BACKOFF_SECONDS up to the cap.
+        for k, delay in enumerate(delays):
+            base = min(BACKOFF_CAP_SECONDS, BACKOFF_SECONDS * (2.0 ** k))
+            assert 0.5 * base <= delay <= base
 
     def test_busy_replies_are_retried_then_succeed(self):
         from repro.server import busy_reply, encode_line
@@ -719,7 +700,7 @@ class TestClientRetry:
         clock = FakeClock()
         try:
             client = ServerClient(
-                port=port, busy_retries=4, sleep=clock.sleep, clock=clock
+                port=port, busy_retries=4, sleep=clock.sleep
             )
             reply = client.ping()
             client.close()
@@ -756,7 +737,7 @@ class TestClientRetry:
         clock = FakeClock()
         try:
             client = ServerClient(
-                port=port, busy_retries=2, sleep=clock.sleep, clock=clock
+                port=port, busy_retries=2, sleep=clock.sleep
             )
             with pytest.raises(ServerBusyError) as err:
                 client.ping()

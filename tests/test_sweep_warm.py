@@ -81,7 +81,6 @@ class TestWarmStart:
         ws = WarmStart()
         ws.absorb(topo, [(1, 2, 0), (3, 1, 0)])
         assert ws.pairs_for(topo) == [(1, 2, 0), (3, 1, 0)]
-        assert ws.solves == 1
 
     def test_orientation_dedup(self):
         topo = random_topo(6, 2)
@@ -157,10 +156,8 @@ class TestWarmSweep:
         ws = WarmStart()
         kw = dict(check_bounds=False, backend="scipy")  # the lazy loop
         solve_sweep(topo, bounds_list[:3], warm=ws, **kw)
-        assert ws.solves == 3
         carried = len(ws.pairs)
         sols = solve_sweep(topo, bounds_list[3:], warm=ws, **kw)
-        assert ws.solves == 6
         assert sols[0].stats.warm_rows >= carried > 0
 
 
