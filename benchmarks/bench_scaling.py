@@ -22,10 +22,12 @@ from conftest import full_run, load_scaled, save_output
 from repro.analysis import Table
 from repro.data import load_benchmark, synth_instance
 from repro.ebf import DelayBounds, solve_lubt
+from repro.ebf.formulation import build_tree_lp
 from repro.ebf.solver import TREE_MIN_SINKS
 from repro.ebf.sweep import canonical_cost
 from repro.embedding import solve_and_embed
 from repro.geometry import manhattan_radius_from
+from repro.lp import solve_tree
 from repro.topology import nearest_neighbor_topology
 
 SIZES_QUICK = (16, 32, 64, 128)
@@ -38,6 +40,11 @@ TREE_SIZES_FULL = (1024, 4096)
 #: ``auto`` crossover sweep: sink counts, and seeds per placement kind.
 CROSSOVER_SIZES = (4, 6, 7, 8, 9, 10, 12, 16, 24, 32)
 CROSSOVER_SEEDS = range(8)
+
+#: Tour start crossover sweep (``auto`` topology: bipartition up to 256
+#: sinks, H-tree beyond), and seeds per placement kind.
+TOUR_CROSSOVER_SIZES = (96, 128, 160, 192, 256, 384, 512)
+TOUR_CROSSOVER_SEEDS = range(6)
 
 #: Chip-scale point: tree backend only — the generic LP at this size
 #: would run for hours (4096 already takes ~6 minutes, see the
@@ -359,4 +366,86 @@ def test_auto_crossover():
         r["tree_ms"] < r["lazy_ms"]
         for r in rows
         if r["sinks"] >= 2 * TREE_MIN_SINKS
+    ), rows
+
+
+def test_tour_crossover(monkeypatch):
+    """Where a cold tree solve should switch from the crash basis to the
+    tour start: mean best-of-3 ``solve_tree`` wall (start build and HiGHS
+    call included) per sink count over uniform and clustered synth nets,
+    from each start.  Records the table, the core count and the measured
+    tie under ``tour_crossover`` in BENCH_scaling.json, and gates that
+    ``TOUR_MIN_SINKS`` sits near the tie: the tour start within 1.25x of
+    the crash at the constant, and ahead of it from twice the constant
+    up."""
+    import repro.lp.treesolve as treesolve
+
+    floor = treesolve.TOUR_MIN_SINKS
+    t = Table(
+        ["sinks", "crash ms", "tour ms", "tour/crash", "crash pivots",
+         "tour pivots"],
+        title="tour start crossover: cold tree LP from each start "
+        f"(synth, window [0.8, 1.2], {os.cpu_count()} cores)",
+    )
+    rows = []
+    for size in TOUR_CROSSOVER_SIZES:
+        ms = {"crash": [], "tour": []}
+        pivots = {"crash": [], "tour": []}
+        for seed in TOUR_CROSSOVER_SEEDS:
+            for kind in ("uniform", "clustered"):
+                topo, bounds = synth_instance(
+                    size, seed, kind=kind, topology="auto"
+                )
+                lp = build_tree_lp(topo, bounds)
+                best = {"crash": float("inf"), "tour": float("inf")}
+                costs = set()
+                for _ in range(3):
+                    for start, at in (("crash", 10**9), ("tour", 2)):
+                        monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", at)
+                        t0 = time.perf_counter()
+                        res = solve_tree(lp)
+                        best[start] = min(best[start], time.perf_counter() - t0)
+                        costs.add(canonical_cost(res.objective))
+                        pivots[start].append(res.iterations)
+                assert len(costs) == 1, (size, seed, kind, costs)
+                for start in ms:
+                    ms[start].append(1e3 * best[start])
+        row = {"sinks": size}
+        row.update({f"{s}_ms": statistics.mean(v) for s, v in ms.items()})
+        row.update(
+            {f"{s}_pivots": statistics.median(v) for s, v in pivots.items()}
+        )
+        rows.append(row)
+        t.add_row(
+            size,
+            f"{row['crash_ms']:.2f}",
+            f"{row['tour_ms']:.2f}",
+            f"{row['tour_ms'] / row['crash_ms']:.2f}",
+            row["crash_pivots"],
+            row["tour_pivots"],
+        )
+    monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", floor)
+    # The tie: the smallest size from which the tour start is never slower.
+    tie = None
+    for i, row in enumerate(rows):
+        if all(r["tour_ms"] <= r["crash_ms"] for r in rows[i:]):
+            tie = row["sinks"]
+            break
+    data = {
+        "protocol": "synth_instance uniform + clustered, auto topology, "
+        f"seeds 0..{len(TOUR_CROSSOVER_SEEDS) - 1}, window [0.8, 1.2] x "
+        "radius; mean over nets of the best-of-3 solve_tree wall from "
+        "the crash basis and from the tour start; median pivots",
+        "cores": os.cpu_count(),
+        "tour_min_sinks": floor,
+        "measured_tie": tie,
+        "sizes": rows,
+    }
+    _update_baseline(tour_crossover=data)
+    save_output("tour_crossover.txt", t.render(), data=data)
+    by_size = {r["sinks"]: r for r in rows}
+    at = by_size[floor]
+    assert at["tour_ms"] <= 1.25 * at["crash_ms"], at
+    assert all(
+        r["tour_ms"] < r["crash_ms"] for r in rows if r["sinks"] >= 2 * floor
     ), rows

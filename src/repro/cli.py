@@ -113,10 +113,13 @@ def _open_journal(args):
 
 
 def _close_journal(journal) -> None:
+    """Close ``journal`` and report its counts on stderr, so a resumed
+    run's stdout is byte-identical to the first run's."""
     if journal is not None:
         print(
             f"journal: {journal.replayed} solve(s) replayed, "
-            f"{journal.appended} appended ({journal.path})"
+            f"{journal.appended} appended ({journal.path})",
+            file=sys.stderr,
         )
         journal.close()
 

@@ -95,6 +95,7 @@ def build_tree_lp(
     # structure-aware backend="tree" (see repro.lp.treesolve).
     su, sv = topo.sink_uv()
     lower, upper = sink_windows(topo, bounds)
+    src = topo.source_location
     lp.tree_meta = TreeLpMeta(
         parents=topo.parent_array(),
         levels=tuple(level.nodes for level in topo.levels()),
@@ -106,6 +107,7 @@ def build_tree_lp(
         zero_edges=zero_edges,
         weights=None if weights is None else np.asarray(weights, dtype=float),
         covered_rows=0,
+        source_uv=None if src is None else np.array([src.u, src.v]),
     )
     return lp
 

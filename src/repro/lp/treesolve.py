@@ -13,7 +13,7 @@ delay *range row* becomes a plain variable bound ``lo_k <= d_k <= hi_k``
 **Min-chain collapse.**  The Steiner family — for every sink pair
 ``(i, j)`` with LCA ``k``: ``(d_i - d_k) + (d_j - d_k) >= dist(i, j)``
 where ``dist`` is the Chebyshev distance of the rotated coordinates
-``(u, v) = (x + y, x - y)`` — collapses exactly to ``O(n)`` rows.  Per
+``(u, v) = (x + y, y - x)`` — collapses exactly to ``O(n)`` rows.  Per
 sink-bearing node ``k`` introduce four auxiliary variables bounded above
 by subtree minima,
 
@@ -41,15 +41,23 @@ plane loop — at 1024 sinks that is ~28x faster than the generic path
 model and nothing else depends on them, so an optimal basis of one
 window stays dual feasible for every other window on the same topology:
 dual simplex restarts from it in a handful of pivots.  A solve without
-such a basis starts from the *crash basis*, a dual feasible basis
-:func:`crash_basis` reads off the tree: dual simplex skips its phase 1
-and starts where the binding geometry rows place the Steiner points,
-in at most about a fifth of the pivots of HiGHS's own start; two kinds
-of model keep HiGHS's start (see there).
+such a basis starts cold from one of two dual feasible bases read off
+the tree, so dual simplex skips its phase 1.  From
+:data:`TOUR_MIN_SINKS` sinks up it takes the *tour start*
+(:func:`tour_basis`): a basis placed at the tree's optimum under ``[0,
+inf)`` windows, the minimum rectilinear Steiner tree of the topology,
+from which a windowed solve takes about 1/9 of the crash's pivots at
+2048 sinks.  Below that size, and where the tour start does not apply,
+it takes the *crash basis* (:func:`crash_basis`), which starts where
+the binding geometry rows place the Steiner points, in at most about a
+fifth of the pivots of HiGHS's own start.  Models whose sink windows
+are all single points keep HiGHS's start and its presolve.
 The model goes to HiGHS through its own model and basis interface (the
 binding scipy ships as ``scipy.optimize._highspy``, with the options
 ``linprog(method="highs-ds")`` passes).  A carried basis rides in on
-:attr:`TreeLpMeta.basis`, the final one comes back on
+:attr:`TreeLpMeta.basis` and wins over both cold starts; HiGHS refuses a
+start whose statuses do not count one basic entry per row, and the solve
+then takes the next one.  The final basis comes back on
 :attr:`LpResult.basis` when :attr:`TreeLpMeta.return_basis` asks for it,
 and each solve builds and drops its own HiGHS object.
 
@@ -71,6 +79,9 @@ model that one HiGHS solve answers.
 
 from __future__ import annotations
 
+import collections
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -151,7 +162,8 @@ class TreeLpMeta:
     #: (:meth:`repro.topology.Topology.levels`).
     levels: tuple[np.ndarray, ...]
     num_sinks: int
-    #: Rotated sink coordinates ``u = x + y``, ``v = x - y`` by node id.
+    #: Rotated sink coordinates ``u = x + y``, ``v = y - x`` by node id
+    #: (:attr:`repro.geometry.Point.u` and ``.v``).
     su: np.ndarray
     sv: np.ndarray
     #: Effective delay window per node id (meaningful at sink ids), after
@@ -162,6 +174,8 @@ class TreeLpMeta:
     #: Per-edge objective weights by node id (entry 0 ignored), or None.
     weights: np.ndarray | None = None
     covered_rows: int = 0
+    #: Rotated ``(u, v)`` of a fixed source, or None when it is free.
+    source_uv: np.ndarray | None = None
     #: Start basis of the collapsed model (e.g. the last optimal one on
     #: this topology), or None.  One whose shape does not fit is ignored.
     basis: Basis | None = field(default=None, repr=False, compare=False)
@@ -173,8 +187,9 @@ class TreeLpMeta:
 @dataclass(frozen=True)
 class TreeLayout:
     """Where a collapsed model keeps each node's columns and rows, as
-    :func:`crash_basis` reads them.  Arrays are indexed by node id, with
-    ``-1`` for "none"."""
+    :func:`crash_basis` and :func:`tour_basis` read them, and the tree
+    facts only the tour start needs.  Arrays are indexed by node id,
+    with ``-1`` for "none"."""
 
     parents: np.ndarray
     num_sinks: int
@@ -192,6 +207,10 @@ class TreeLayout:
     geo_row: np.ndarray
     #: First of a node's 4 auxiliary columns.
     auxpos: np.ndarray
+    #: Rotated ``(u, v)`` of a fixed source, or None when it is free.
+    source_uv: np.ndarray | None
+    #: Edges pinned to zero length (:attr:`TreeLpMeta.zero_edges`).
+    zero_edges: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -445,6 +464,8 @@ def collapsed_tree_lp(lp: LinearProgram) -> CollapsedLp:
             self_row=self_row,
             geo_row=geo_row,
             auxpos=auxpos,
+            source_uv=meta.source_uv,
+            zero_edges=zero_edges,
         ),
     )
 
@@ -568,6 +589,396 @@ def crash_basis(model: CollapsedLp) -> Basis | None:
     return col, row
 
 
+#: Sink count from which a cold solve starts at :func:`tour_basis`
+#: rather than at :func:`crash_basis`: below it the tour start's build
+#: costs more than the pivots it saves (docs/PERFORMANCE.md, "Tour
+#: start").
+TOUR_MIN_SINKS = 256
+
+#: The half of a tour pair that reaches no leaf: the first and the last
+#: leaf of the tour take one half only, from one side.
+_END = 4
+
+#: A Steiner node's 8 tour options: which child goes first, which
+#: geometry row carries its cost (0: ``A + B``, 1: ``C + D``), and the
+#: types of the halves it sends to its first child's last leaf (``p``)
+#: and its second child's first leaf (``q``).
+_OPT_FLIP = np.repeat([0, 1], 4)
+_OPT_GEO = np.tile(np.repeat([0, 1], 2), 2)
+_OPT_P = 2 * _OPT_GEO + np.tile([0, 1], 4)
+_OPT_Q = 4 * _OPT_GEO + 1 - _OPT_P
+
+#: Per ``(first type, last type, option)``: the options whose halves
+#: cross the types entering a node (``p`` equal to the last type, ``q``
+#: to the first).  At a cherry each leaf then takes one half of either
+#: type on two self rows, and those four rows close a cycle: the basis
+#: would be singular.  The option with the halves swapped takes a subset
+#: of those rows, so excluding these costs nothing.
+_CROSSED = np.where(
+    (np.arange(5)[:, None, None] == _OPT_Q)
+    & (np.arange(5)[None, :, None] == _OPT_P),
+    1 << 20,
+    0,
+).astype(np.int32)
+
+
+def _binary_children(t: TreeLayout) -> np.ndarray | None:
+    """``children[k]`` for every Steiner node ``k`` of a full binary tree
+    whose sinks are its leaves and whose root has one child (row 0 holds
+    that child twice), or None for any other tree."""
+    parents, m = t.parents, t.num_sinks
+    n = parents.size
+    deg = np.bincount(parents[1:], minlength=n)
+    if m < 2 or deg[0] != 1 or deg[1 : m + 1].any() or np.any(deg[m + 1 :] != 2):
+        return None
+    # Children grouped by parent id: the root's one child, then pairs.
+    kids = np.argsort(parents[1:], kind="stable") + 1
+    children = np.zeros((n, 2), dtype=np.int64)
+    children[0] = kids[0]
+    children[m + 1 :] = kids[1:].reshape(-1, 2)
+    return children
+
+
+def steiner_optimum(model: CollapsedLp, children: np.ndarray) -> np.ndarray:
+    """The optimum of ``model``'s tree under ``[0, inf)`` windows: its
+    minimum rectilinear Steiner tree for the fixed topology and source,
+    as a point of ``model``'s columns.
+
+    L1 length separates into ``x = (u - v) / 2`` and ``y = (u + v) / 2``
+    (``v = y - x``, as :attr:`repro.geometry.Point.v`), and per axis the
+    optimum of a binary tree is a median: bottom-up, a node's interval is
+    the overlap of its children's, or the gap between them when they do
+    not overlap; top-down, from the source at the root, each node takes
+    its parent's coordinate clamped into its interval.
+    Delays are path sums of the edges' L1 lengths, and each auxiliary is
+    its subtree minimum at those delays.  ``children`` is
+    :func:`_binary_children`'s table.
+    """
+    t = model.layout
+    parents, m, levels = t.parents, t.num_sinks, t.levels
+    n = parents.size
+    quad = np.arange(4)
+    s = np.arange(1, m + 1)
+    # Self row rhs per sink: -u, u, -v, v.
+    rhs = model.b_ub[t.self_row[s, None] + quad]
+    lo = np.zeros((n, 2))
+    lo[s, 0] = 0.5 * (rhs[:, 1] - rhs[:, 3])
+    lo[s, 1] = 0.5 * (rhs[:, 1] + rhs[:, 3])
+    hi = lo.copy()
+    for level in reversed(levels):
+        k = level[level > m]
+        a, b = children[k, 0], children[k, 1]
+        inner = np.maximum(lo[a], lo[b])
+        outer = np.minimum(hi[a], hi[b])
+        lo[k] = np.minimum(inner, outer)
+        hi[k] = np.maximum(inner, outer)
+    u0, v0 = t.source_uv
+    pos = np.empty((n, 2))
+    pos[0] = 0.5 * (u0 - v0), 0.5 * (u0 + v0)
+    d = np.zeros(n)
+    for level in levels:
+        up = parents[level]
+        pos[level] = np.minimum(np.maximum(pos[up], lo[level]), hi[level])
+        d[level] = d[up] + np.abs(pos[level] - pos[up]).sum(axis=1)
+    val = np.empty((n, 4))
+    val[s] = d[s, None] + rhs
+    for level in reversed(levels):
+        k = level[level > m]
+        val[k] = np.minimum(val[children[k, 0]], val[children[k, 1]])
+    val[0] = val[children[0, 0]]
+    x = np.empty(model.c.size)
+    x[: n - 1] = d[1:]
+    holders = np.flatnonzero(t.auxpos >= 0)
+    x[t.auxpos[holders, None] + quad] = val[holders]
+    return x
+
+
+def tour_basis(model: CollapsedLp) -> Basis | None:
+    """A dual feasible start basis for ``model`` placed at the optimum of
+    its tree under ``[0, inf)`` windows (:func:`steiner_optimum`), or
+    None where it does not apply.
+
+    *Dual: the in-order tour.*  With an order fixed on each node's two
+    children, the leaves form a sequence in which every Steiner node is
+    the LCA of exactly one consecutive pair.  Each Steiner node ``k`` has
+    cost ``-1``; it sends ``1/2`` through one of its geometry rows
+    (``A + B`` or ``C + D``) to each auxiliary of that row, and each half
+    runs down one auxiliary chain (tie rows, then a leaf's self row) to
+    one leaf of its pair: the ``A`` or ``C`` half to one, the other half
+    to the other.  Every leaf but the two ends of the tour then absorbs
+    ``1/2 + 1/2``, its cost, and is basic; the ends absorb ``1/2`` and
+    sit at their lower bounds with reduced cost ``1/2``.  Each half
+    enters a child subtree on the tie row of its type, so a subtree's
+    state is the pair of types reaching its first and its last leaf.
+    Flow is conserved at every auxiliary, the duals are ``<= 0``, and
+    every Steiner delay's reduced cost is ``-1 + 2 * 1/2 = 0``: with unit
+    weights every child order and every row choice is dual feasible.  A
+    bottom-up table over the 25 states picks them so that the fewest
+    flow rows are loose at the optimum, one NumPy step per depth level.
+
+    *Completion.*  The flow rows leave the basis about one row short per
+    tour pair, and auxiliaries no flow reaches hold none.  A triangular
+    peel adds rows tight at the optimum (duals 0): from the two end
+    leaves on, a row enters only to fix the one column of it still
+    unknown.  Flow rows go first, then tight rows and tight leaf bounds
+    in the order they become ready, rows that fix a Steiner delay last;
+    when none is ready, the leftmost unknown leaf of the tour goes to its
+    lower bound.  Every nonbasic entry fixes one column, so the basis
+    matrix is triangular: nonsingular.  Where flow rows close a cycle the
+    peel cannot break, a flow row is left with nothing to fix and the
+    start is dropped.
+
+    Applies to a full binary tree whose sinks are its leaves, with a
+    fixed source under a one-child root, unit weights and no pinned edge
+    (every :func:`repro.topology.build_net_topology` kind); returns None
+    otherwise, when every sink window is a single point (presolve solves
+    those without a pivot), and when the basis fails
+    :func:`_is_dual_feasible_start`.
+    """
+    t = model.layout
+    parents, m, levels = t.parents, t.num_sinks, t.levels
+    n = parents.size
+    nrows, nvar = model.a_ub.shape
+    if t.source_uv is None or t.zero_edges:
+        return None
+    children = _binary_children(t)
+    if children is None or bool(np.all(model.lb[:m] == model.ub[:m])):
+        return None
+    if np.any(model.c[:m] != 1.0) or np.any(model.c[m : n - 1] != -1.0):
+        return None
+    a = model.a_ub
+    x = steiner_optimum(model, children)
+    slack = model.b_ub - a @ x
+    tol = 1e-9 * max(1.0, float(np.abs(x).max()))
+    if slack.min() < -1e3 * tol:
+        return None
+    tight = slack <= tol
+    quad = np.arange(4)
+    steiner = np.arange(m + 1, n)
+    s = np.arange(1, m + 1)
+
+    # ---- the tour: child orders and half types, bottom-up table -------
+    # loose[c, q]: the tie row on which a half of type q enters c is
+    # loose at the optimum (the end type enters on none).
+    # Costs are kept times 8, with the option index in the low 3 bits of
+    # a node's candidates, so one min picks the option and its cost.
+    loose = np.zeros((n, 5), dtype=np.int32)
+    loose[1:, :4] = 8 * ~tight[t.tie_row[1:, None] + quad]
+    enter = loose[:, :, None] + loose[:, None, :] * ~np.eye(5, dtype=bool)
+    # An end leaf sits at its lower bound: loose unless the optimum does.
+    off_lb = np.abs(x[s - 1] - model.lb[s - 1]) > tol
+    end_cost = 8 * off_lb.astype(np.int32)
+    best = enter.copy()
+    best[s, _END, :] += end_cost[:, None]
+    best[s, :, _END] += end_cost[:, None]
+    best[s, _END, _END] = np.iinfo(np.int32).max // 4  # one leaf, no pair
+    geo_loose = 8 * (~tight[t.geo_row[:, None] + _OPT_GEO]) + np.arange(8)
+    choice = np.zeros((n, 5, 5), dtype=np.int32)
+
+    def table(k: np.ndarray, cherries: bool) -> None:
+        kids = best[children[k]]
+        # Per option (last axis): the first child's table at its last
+        # leaf's type, over the first type; the second child's at its
+        # first leaf's type, over the last type.
+        head = kids[:, _OPT_FLIP, :, _OPT_P].transpose(1, 2, 0)
+        tail = kids[:, 1 - _OPT_FLIP, _OPT_Q, :].transpose(0, 2, 1)
+        total = head[:, :, None, :] + tail[:, None, :, :]
+        total += geo_loose[k][:, None, None, :]
+        if cherries:
+            total += _CROSSED
+        low = total.min(axis=3)
+        choice[k] = low & 7
+        best[k] = (low & ~7) + enter[k]
+
+    # Cherries (two leaf children) first, all at once: they alone can
+    # take the crossed option.
+    cherry = np.zeros(n, dtype=bool)
+    cherry[steiner] = np.all(children[steiner] <= m, axis=1)
+    table(np.flatnonzero(cherry), True)
+    inner = [level[level > m] for level in levels]
+    for k in reversed(inner):
+        if k.size:
+            table(k[~cherry[k]], False)
+    state = np.full((n, 2), _END, dtype=np.int64)
+    first_child = np.zeros(n, dtype=np.int64)
+    geo = np.zeros(n, dtype=np.int64)
+    for k in inner:
+        o = choice[k, state[k, 0], state[k, 1]]
+        flip = _OPT_FLIP[o]
+        c1 = children[k, flip]
+        c2 = children[k, 1 - flip]
+        first_child[k], geo[k] = c1, _OPT_GEO[o]
+        state[c1, 0], state[c1, 1] = state[k, 0], _OPT_P[o]
+        state[c2, 0], state[c2, 1] = _OPT_Q[o], state[k, 1]
+
+    # ---- dual flow (pi = -dual) ----------------------------------------
+    pi = np.zeros(nrows)
+    below = np.arange(1, n)
+    for side in (0, 1):
+        typ = state[below, side]
+        half = typ != _END
+        np.add.at(pi, t.tie_row[below[half]] + typ[half], 0.5)
+    pi[t.geo_row[steiner] + geo[steiner]] = 0.5
+    forced = pi > 0.0
+
+    # ---- the tour order of the leaves -----------------------------------
+    leaves = np.zeros(n, dtype=np.int64)
+    leaves[s] = 1
+    for k in reversed(inner):
+        leaves[k] = leaves[children[k, 0]] + leaves[children[k, 1]]
+    start = np.zeros(n, dtype=np.int64)
+    for k in inner:
+        c1 = first_child[k]
+        start[c1] = start[k]
+        start[children[k, 0] + children[k, 1] - c1] = start[k] + leaves[c1]
+    tour = np.zeros(m, dtype=np.int64)
+    tour[start[s]] = s - 1
+    ends = tour[[0, -1]]
+
+    # ---- completion: the triangular peel ------------------------------
+    # Only flow rows and rows tight at the optimum may enter the basis.
+    every_col = np.repeat(np.arange(nvar), np.diff(a.indptr))
+    keep = (forced | tight)[a.indices]
+    rows_of, cols = a.indices[keep], every_col[keep]
+    ptr = np.zeros(nvar + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=nvar), out=ptr[1:])
+    known = np.zeros(nvar, dtype=bool)
+    known[ends] = True
+    unknown = ~known[cols]
+    count = np.bincount(rows_of, weights=unknown, minlength=nrows)
+    colsum = np.bincount(rows_of, weights=cols * unknown, minlength=nrows)
+    # Per row: 4 x the id sum of its unknown columns plus their count
+    # (at most 3), which names the last one.
+    key = (4 * colsum.astype(np.int64) + count.astype(np.int64)).tolist()
+    flows = np.flatnonzero(forced & (count == 1)).tolist()
+    # Spare entries, first in first out: tight rows, and (as ~column)
+    # inner leaves whose optimum delay is their lower bound.  A row that
+    # would fix a Steiner delay waits in ``late`` until nothing else is
+    # ready: the flow rows often fix that delay later, and where two
+    # geometry flow rows and their tie rows close a cycle, fixing both
+    # delays from outside makes the basis singular.
+    at_lb = np.flatnonzero(~off_lb)
+    ready = ~forced & tight & (count == 1)
+    delay = (colsum >= m) & (colsum < n - 1)
+    spare = collections.deque((~at_lb[~known[at_lb]]).tolist())
+    spare.extend(np.flatnonzero(ready & ~delay).tolist())
+    late = collections.deque(np.flatnonzero(ready & delay).tolist())
+    is_forced = forced.tolist()
+    bounds_l, rows_l, tour_l = ptr.tolist(), rows_of.tolist(), tour.tolist()
+    fixer = [-2] * nvar  # the row fixing each column, -1: its bound
+    for j in ends.tolist():
+        fixer[j] = -1
+    seq: list[int] = []
+    push_flow, push_spare, push_late = flows.append, spare.append, late.append
+    fixed = seq.append
+    nxt = 0
+    while True:
+        if flows:
+            r = flows.pop()
+            k = key[r]
+            if k & 3 != 1:
+                return None  # a flow row that fixes nothing: singular
+            j = k >> 2
+        elif spare or late:
+            r = spare.popleft() if spare else late.popleft()
+            if r < 0:
+                j, r = ~r, -1
+                if fixer[j] != -2:
+                    continue
+            else:
+                k = key[r]
+                if k & 3 != 1:
+                    continue
+                j = k >> 2
+        else:
+            # Nothing tight fixes a column: the leftmost unknown leaf
+            # goes to its lower bound.
+            while nxt < m and fixer[tour_l[nxt]] != -2:
+                nxt += 1
+            if nxt == m:
+                break
+            j, r = tour_l[nxt], -1
+        fixer[j] = r
+        fixed(j)
+        drop = 4 * j + 1
+        for q in rows_l[bounds_l[j] : bounds_l[j + 1]]:
+            k = key[q] - drop
+            key[q] = k
+            if k & 3 == 1:
+                if is_forced[q]:
+                    push_flow(q)
+                elif m <= k >> 2 < n - 1:
+                    push_late(q)
+                else:
+                    push_spare(q)
+    if len(seq) != nvar - 2:
+        return None  # auxiliaries only loose rows could fix
+
+    fix = np.array(fixer, dtype=np.int64)
+    basic = fix >= 0
+    col = np.where(basic, _BASIC, _LOWER).astype(np.int8)
+    row = np.full(nrows, _BASIC, dtype=np.int8)
+    row[fix[basic]] = _UPPER
+    fixes = np.full(nrows, -1, dtype=np.int64)
+    fixes[fix[basic]] = np.flatnonzero(basic)
+    order = np.zeros(nvar, dtype=np.int64)
+    order[seq] = np.arange(1, nvar - 1)
+    basis = (col, row)
+    if not _is_dual_feasible_start(model, basis, -pi, fixes, order, every_col):
+        return None
+    return basis
+
+
+def _is_dual_feasible_start(
+    model: CollapsedLp,
+    basis: Basis,
+    dual: np.ndarray,
+    fixes: np.ndarray,
+    order: np.ndarray,
+    cols: np.ndarray,
+) -> bool:
+    """NumPy's check that ``basis`` is a dual feasible basis of ``model``
+    with row duals ``dual``: as many nonbasic entries as columns; a
+    triangular order (nonbasic row ``r`` fixes basic column
+    ``fixes[r]``, the last of its row's basic columns in ``order``), so
+    the basis is nonsingular; every row with a nonzero dual nonbasic,
+    duals ``<= 0``; reduced costs 0 on basic columns and of their
+    bound's sign on nonbasic ones, which sit on finite bounds.  ``cols``
+    is the column of each stored entry of ``model.a_ub``."""
+    col, row = basis
+    a = model.a_ub
+    nrows, nvar = a.shape
+    basic, nonbasic_row = col == _BASIC, row != _BASIC
+    if np.count_nonzero(~basic) + np.count_nonzero(nonbasic_row) != nvar:
+        return False
+    if np.any(dual[~nonbasic_row] != 0.0) or np.any(dual > 0.0):
+        return False
+    reduced = model.c - a.T @ dual
+    tol = 1e-9 * max(1.0, float(np.abs(model.c).max()))
+    lower, upper = col == _LOWER, col == _UPPER
+    if (
+        np.any(np.abs(reduced[basic]) > tol)
+        or np.any(reduced[lower] < -tol)
+        or np.any(reduced[upper] > tol)
+        or not np.isfinite(model.lb[lower]).all()
+        or not np.isfinite(model.ub[upper]).all()
+    ):
+        return False
+    nb = np.flatnonzero(nonbasic_row)
+    target = fixes[nb]
+    if np.any(target < 0) or not basic[target].all():
+        return False
+    if np.bincount(target, minlength=nvar).max(initial=0) > 1:
+        return False
+    keep = nonbasic_row[a.indices] & basic[cols]
+    r, c = a.indices[keep], cols[keep]
+    aim = fixes[r]
+    if np.any(order[c] > order[aim]):
+        return False
+    hits = np.bincount(r[c == aim], minlength=nrows)
+    return bool(np.all(hits[nb] == 1))
+
+
 def _fits(basis: Basis | None, model: CollapsedLp) -> bool:
     """Whether ``basis`` has one status per column and per row."""
     if basis is None:
@@ -598,15 +1009,41 @@ def _final_basis(
     return col, row
 
 
-def _solve_highs(
-    model: CollapsedLp, start: Basis | None, want_basis: bool
-) -> tuple[LpStatus, int, np.ndarray | None, Basis | None, str]:
-    """One HiGHS solve of ``model`` from ``start`` (or cold); returns
-    ``(status, iterations, x, basis, message)``.
+def _cold_starts(model: CollapsedLp) -> Iterator[Basis]:
+    """``model``'s cold start bases, best first: :func:`tour_basis` from
+    :data:`TOUR_MIN_SINKS` sinks up, then :func:`crash_basis`; each is
+    built only when the one before it is missing or refused."""
+    if model.layout.num_sinks >= TOUR_MIN_SINKS:
+        tour = tour_basis(model)
+        if tour is not None:
+            yield tour
+    crash = crash_basis(model)
+    if crash is not None:
+        yield crash
 
-    The HiGHS object lives only for this call.  A start basis HiGHS
-    refuses as inconsistent leaves it solving cold; one it accepts is
-    only where dual simplex begins.
+
+def _accepts(highs: Any, start: Basis) -> bool:
+    """Hand ``start`` to ``highs`` as a basis it must not repair; returns
+    whether HiGHS took it (it refuses one whose statuses do not count one
+    basic entry per row)."""
+    hb = _highs.HighsBasis()
+    hb.alien = False
+    hb.col_status = [_STATUS_CODES[k] for k in start[0].tolist()]
+    hb.row_status = [_STATUS_CODES[k] for k in start[1].tolist()]
+    return highs.setBasis(hb) != _highs.HighsStatus.kError
+
+
+def _solve_highs(
+    model: CollapsedLp, starts: Iterable[Basis], want_basis: bool
+) -> tuple[LpStatus, int, np.ndarray | None, Basis | None, str]:
+    """One HiGHS solve of ``model`` from the first of ``starts`` HiGHS
+    accepts (or from its own start); returns ``(status, iterations, x,
+    basis, message)``.
+
+    The HiGHS object lives only for this call.  A start goes in as a
+    basis HiGHS must not repair: one whose statuses do not count one
+    basic entry per row is refused, and the next start is tried.  One it
+    accepts is only where dual simplex begins.
     """
     highs = _highs._Highs()
     for key, value in _OPTIONS:
@@ -628,11 +1065,9 @@ def _solve_highs(
         error = _highs.HighsModelStatus.kModelError
         message = highs.modelStatusToString(error)
         return _STATUS_MAP[error], 0, None, None, message
-    if start is not None:
-        hb = _highs.HighsBasis()
-        hb.col_status = [_STATUS_CODES[k] for k in start[0].tolist()]
-        hb.row_status = [_STATUS_CODES[k] for k in start[1].tolist()]
-        highs.setBasis(hb)
+    for start in starts:
+        if _accepts(highs, start):
+            break
     highs.run()
     status = highs.getModelStatus()
     iterations = int(highs.getInfo().simplex_iteration_count)
@@ -657,8 +1092,9 @@ def solve_tree(lp: LinearProgram) -> LpResult:
     tree metadata; returns an :class:`LpResult` in the *original* edge
     variable space, with the HiGHS iteration count of the collapsed LP.
     HiGHS starts from ``tree_meta.basis`` when it fits the model, else
-    from :func:`crash_basis`, and the result carries the final basis
-    when ``tree_meta.return_basis`` is set.  Row duals are not produced
+    from :func:`tour_basis` or :func:`crash_basis` (the next start when
+    HiGHS refuses one), and the result carries the final basis when
+    ``tree_meta.return_basis`` is set.  Row duals are not produced
     (the collapsed model's rows do not map 1:1 onto the flat model's).
     """
     try:
@@ -667,9 +1103,10 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         return _infeasible(str(exc))
     meta = lp.tree_meta
     assert meta is not None  # collapsed_tree_lp declined a bare model
-    start = meta.basis if _fits(meta.basis, model) else crash_basis(model)
+    carried = [meta.basis] if _fits(meta.basis, model) else []
     status, iterations, values, basis, message = _solve_highs(
-        model, start, meta.return_basis
+        model, itertools.chain(carried, _cold_starts(model)),
+        meta.return_basis,
     )
     if status is not LpStatus.OPTIMAL or values is None:
         return LpResult(

@@ -94,6 +94,7 @@ def rescale_lp(lp: LinearProgram) -> tuple[LinearProgram, float]:
         scaled.tree_meta = dataclasses.replace(
             meta, su=meta.su / s, sv=meta.sv / s,
             lower=meta.lower / s, upper=meta.upper / s,
+            source_uv=None if meta.source_uv is None else meta.source_uv / s,
         )
     return scaled, s
 

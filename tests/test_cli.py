@@ -1,5 +1,7 @@
 """Tests for the ``lubt`` CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -48,6 +50,22 @@ class TestCommands:
     def test_table3(self, capsys):
         assert main(["table3", "--bench", "r1", "--sinks", "14"]) == 0
         assert "lower bound" in capsys.readouterr().out
+
+    def test_resumed_journal_run_prints_the_same_stdout(self, capsys, tmp_path):
+        """The journal's summary goes to stderr: a ``--resume`` run that
+        replays every solve prints the first run's stdout byte for
+        byte."""
+        journal = str(tmp_path / "j.jsonl")
+        argv = ["table3", "--bench", "r1", "--sinks", "14", "--journal", journal]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main([*argv, "--resume"]) == 0
+        second = capsys.readouterr()
+        assert second.out == first.out
+        assert "journal" not in first.out
+        solved = re.search(r"0 solve\(s\) replayed, (\d+) appended", first.err)
+        assert solved and int(solved.group(1)) > 0
+        assert f"{solved.group(1)} solve(s) replayed, 0 appended" in second.err
 
     def test_fig8_with_plot(self, capsys):
         assert main(["fig8", "--bench", "prim2", "--sinks", "14", "--plot"]) == 0

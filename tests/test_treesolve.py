@@ -8,6 +8,8 @@ diagnoses.  These tests pin that equivalence across bound styles,
 topologies, suites, and the resilience/server integration seams.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from scipy.optimize import linprog
 
 import repro.lp.treesolve as treesolve
 from repro.check import check_instance
-from repro.data import load_benchmark, synth_instance
+from repro.data import load_benchmark, synth_instance, uniform_sinks
 from repro.delay import tree_cost
 from repro.ebf import DelayBounds, build_ebf_lp, solve_lubt
 from repro.ebf.bounds import radius_of
@@ -32,7 +34,13 @@ from repro.lp import (
     solve_lp,
     solve_tree,
 )
-from repro.lp.treesolve import collapsed_tree_lp, crash_basis
+from repro.lp.treesolve import (
+    TOUR_MIN_SINKS,
+    collapsed_tree_lp,
+    crash_basis,
+    steiner_optimum,
+    tour_basis,
+)
 from repro.resilience import (
     DEFAULT_CHAIN,
     AllBackendsFailedError,
@@ -40,7 +48,7 @@ from repro.resilience import (
     faults,
     solve_lp_resilient,
 )
-from repro.topology import Topology, nearest_neighbor_topology
+from repro.topology import Topology, nearest_neighbor_topology, star_topology
 
 
 def random_topo(m, seed, fixed=False):
@@ -60,6 +68,23 @@ def sink_chain_topo(m, seed, fixed=False):
     for i in range(2, m + 1):
         parents.append(i - 1 if rng.random() < 0.5 else int(rng.integers(0, i)))
     return Topology(parents, m, pts, Point(30.0, 30.0) if fixed else None)
+
+
+def random_binary_topo(m, seed):
+    """A full binary tree over ``m`` sinks merged in random pairs (not
+    by distance), with a fixed source anywhere on the die above the last
+    merge."""
+    rng = np.random.default_rng(seed)
+    pts = [Point(float(x), float(y)) for x, y in rng.integers(0, 60, (m, 2))]
+    source = Point(*(float(c) for c in rng.integers(0, 60, 2)))
+    parents = [None] + [0] * (2 * m - 1)
+    clusters = list(range(1, m + 1))
+    for new in range(m + 1, 2 * m):
+        i, j = sorted(rng.choice(len(clusters), 2, replace=False).tolist())
+        parents[clusters[i]] = parents[clusters[j]] = new
+        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
+        clusters.append(new)
+    return Topology(parents, m, pts, source)
 
 
 def chain_window(topo, lo, hi):
@@ -636,8 +661,8 @@ def _linprog_reference(lp):
 
 def _assert_matches_linprog(lp, ours):
     """``ours`` is ``linprog``'s optimum on the same collapsed model, in
-    at most its pivots (the crash start may end on another optimal
-    vertex of a degenerate face)."""
+    at most its pivots (a cold start may end on another optimal vertex
+    of a degenerate face)."""
     ref, _ = _linprog_reference(lp)
     assert ours.status is LpStatus.OPTIMAL and ref.status == 0
     assert abs(ours.objective - ref.fun) <= 1e-9 * abs(ref.fun)
@@ -882,7 +907,10 @@ class TestCrashBasis:
                 assert len(ties) == 1, (k, q, ties)
                 assert est[ties[0], q] == est[k, q]
 
-    def test_halves_the_pivots(self):
+    def test_halves_the_pivots(self, monkeypatch):
+        # Past TOUR_MIN_SINKS a cold solve starts at the tour start; keep
+        # this one on the crash.
+        monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", 10**9)
         topo, bounds = synth_instance(300, 1996)
         lp = build_tree_lp(topo, bounds)
         ours = solve_tree(lp)
@@ -890,10 +918,11 @@ class TestCrashBasis:
         assert ours.iterations <= 0.3 * ref.nit, (ours.iterations, ref.nit)
 
     @pytest.mark.parametrize("seed", [7, 1996])
-    def test_large_htree_pivots(self, seed):
+    def test_large_htree_pivots(self, seed, monkeypatch):
         """On an H-tree net, the topology of perfbench's ``large-net``, a
         512-sink solve from the crash takes at most 0.3x the pivots of
         HiGHS's own start."""
+        monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", 10**9)
         topo, bounds = synth_instance(512, seed, topology="htree")
         lp = build_tree_lp(topo, bounds)
         ours = solve_tree(lp)
@@ -937,6 +966,253 @@ class TestCrashBasis:
         holders = np.count_nonzero((nsink > 0) & ~leaf_sink)
         model = collapsed_tree_lp(lp)
         assert model.a_ub.shape[1] == (n - 1) + 4 * holders
+
+
+@functools.cache
+def _nets():
+    """Full binary nets of every ``build_net_topology`` kind, at and
+    below ``TOUR_MIN_SINKS``; one has its source off the die's diagonal,
+    where swapping ``x`` and ``y`` changes the tree."""
+    sinks = uniform_sinks(96, seed=3)
+    off = nearest_neighbor_topology(sinks, Point(1234.0, 8765.0))
+    return {
+        "nn": synth_instance(64, 1996, topology="nn"),
+        "nn-off-diagonal": (off, None),
+        "bipartition": synth_instance(96, 1996, topology="bipartition"),
+        "htree": synth_instance(128, 1996, topology="htree"),
+        "bipartition-256": synth_instance(256, 7, topology="bipartition"),
+    }
+
+
+class TestTourStart:
+    """Cold tree solves from ``TOUR_MIN_SINKS`` sinks up start at the
+    tour start (``tour_basis``): a dual feasible basis placed at the
+    optimum of the tree under ``[0, inf)`` windows."""
+
+    WINDOWS = ((0.8, 1.2), (0.5, 1.0), (0.9, 1.0), (0.0, np.inf))
+
+    @staticmethod
+    def _model(topo, lo, hi):
+        r = radius_of(topo)
+        bounds = DelayBounds.uniform(topo.num_sinks, lo * r, hi * r)
+        return collapsed_tree_lp(build_tree_lp(topo, bounds))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("case", sorted(_nets()))
+    def test_is_a_dual_feasible_basis(self, case, window):
+        topo, _ = _nets()[case]
+        model = self._model(topo, *window)
+        basis = tour_basis(model)
+        assert basis is not None
+        _assert_dual_feasible(model, basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=24),
+        seed=st.integers(min_value=0, max_value=10_000),
+        merge=st.sampled_from(["random", "nn"]),
+        window=st.sampled_from(WINDOWS),
+    )
+    def test_random_full_binary_trees(self, m, seed, merge, window):
+        topo = (
+            random_binary_topo(m, seed) if merge == "random"
+            else random_topo(m, seed, fixed=True)
+        )
+        model = self._model(topo, *window)
+        basis = tour_basis(model)
+        if basis is None:
+            # Point windows keep presolve; rarely, random pairings close
+            # a cycle of flow rows the peel cannot break, and the start
+            # fails its checks (the solve takes the crash).
+            points = np.all(model.lb[:m] == model.ub[:m])
+            assert points or merge == "random"
+            return
+        _assert_dual_feasible(model, basis)
+
+    @pytest.mark.parametrize("case", sorted(_nets()))
+    def test_steiner_optimum_is_the_unbounded_lp_optimum(self, case):
+        """The separable per-axis DP gives the optimum of the ``[0, inf)``
+        LP, and the tour start's basic solution equals it at every
+        column the basis derives through rows tight there, from bounds
+        the optimum sits on: most of them where both end leaves do."""
+        topo, _ = _nets()[case]
+        model = self._model(topo, 0.0, np.inf)
+        x = steiner_optimum(model, treesolve._binary_children(model.layout))
+        res = linprog(
+            model.c, A_ub=model.a_ub, b_ub=model.b_ub,
+            bounds=np.column_stack([model.lb, model.ub]), method="highs-ds",
+        )
+        assert abs(model.c @ x - res.fun) <= 1e-12 * abs(res.fun)
+        tol = 1e-9 * np.abs(x).max()
+        assert np.all(model.a_ub @ x <= model.b_ub + tol)
+        col, row = tour_basis(model)
+        a = model.a_ub.toarray()
+        nb_rows = np.flatnonzero(row != treesolve._BASIC)
+        nb_cols = np.flatnonzero(col != treesolve._BASIC)
+        basic = np.flatnonzero(col == treesolve._BASIC)
+        value = np.zeros(x.size)
+        value[nb_cols] = model.lb[nb_cols]
+        value[basic] = np.linalg.solve(
+            a[np.ix_(nb_rows, basic)],
+            model.b_ub[nb_rows] - a[np.ix_(nb_rows, nb_cols)] @ value[nb_cols],
+        )
+        # Peel the basis: a row with one unknown column fixes it, exactly
+        # when the row is tight at x and its other columns are exact.
+        exact = {int(j): abs(value[j] - x[j]) <= tol for j in nb_cols}
+        tight = model.b_ub - a @ x <= tol
+        pending = list(nb_rows)
+        while pending:
+            left = []
+            for r in pending:
+                cols = np.flatnonzero(a[r])
+                unknown = [int(j) for j in cols if int(j) not in exact]
+                if len(unknown) != 1:
+                    left.append(r)
+                    continue
+                exact[unknown[0]] = bool(tight[r]) and all(
+                    exact[int(j)] for j in cols if int(j) != unknown[0]
+                )
+            assert len(left) < len(pending)  # triangular
+            pending = left
+        derived = np.array([j for j, ok in exact.items() if ok])
+        assert np.allclose(value[derived], x[derived], rtol=0.0, atol=tol)
+        # An end leaf whose source path is not monotone sits below its
+        # optimum delay, and what the basis derives from it moves too.
+        if all(exact[int(j)] for j in nb_cols):
+            assert derived.size >= 0.5 * x.size, (derived.size, x.size)
+
+    @staticmethod
+    def _fallback_models():
+        nn, bounds = synth_instance(64, 1996, topology="nn")
+        parents = nn.parent_array()
+        interior = int(np.flatnonzero(parents[1:] != 0)[0]) + 1
+        rng = np.random.default_rng(2)
+        weights = np.concatenate(
+            [[0.0], rng.uniform(0.5, 2.0, nn.num_nodes - 1)]
+        )
+        star = star_topology(
+            [nn.sink_location(i) for i in nn.sink_ids()], nn.source_location
+        )
+        free = random_topo(40, 3, fixed=False)
+        chain = sink_chain_topo(14, 4, fixed=True)
+        return {
+            "free source": build_tree_lp(
+                free, DelayBounds.normalized(free, 0.8, 1.2)
+            ),
+            "weights": build_tree_lp(nn, bounds, weights=weights),
+            "pinned edge": build_tree_lp(nn, bounds, zero_edges=(interior,)),
+            "interior sinks": build_tree_lp(chain, chain_window(chain, 0.0, 1.2)),
+            "non-binary node": build_tree_lp(
+                star, DelayBounds.normalized(star, 0.8, 1.2)
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        ["free source", "weights", "pinned edge", "interior sinks",
+         "non-binary node"],
+    )
+    def test_fallbacks_start_from_the_crash(self, case, monkeypatch):
+        monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", 2)
+        model = collapsed_tree_lp(self._fallback_models()[case])
+        assert tour_basis(model) is None
+        starts = list(treesolve._cold_starts(model))
+        crash = crash_basis(model)
+        assert len(starts) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(starts[0], crash))
+
+    def test_failed_check_starts_from_the_crash(self, monkeypatch):
+        monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", 2)
+        monkeypatch.setattr(
+            treesolve, "_is_dual_feasible_start", lambda *a: False
+        )
+        model = self._model(_nets()["nn"][0], 0.8, 1.2)
+        assert tour_basis(model) is None
+        (start,) = treesolve._cold_starts(model)
+        assert all(np.array_equal(a, b) for a, b in zip(start, crash_basis(model)))
+
+    def test_small_nets_and_point_windows_keep_their_starts(self):
+        """Below ``TOUR_MIN_SINKS`` a cold solve starts from the crash;
+        all-point windows keep presolve (no start at all)."""
+        topo, _ = _nets()["nn"]
+        assert topo.num_sinks < TOUR_MIN_SINKS
+        model = self._model(topo, 0.8, 1.2)
+        (start,) = treesolve._cold_starts(model)
+        assert all(np.array_equal(a, b) for a, b in zip(start, crash_basis(model)))
+        big, _ = _nets()["bipartition-256"]
+        points = DelayBounds.zero_skew(256, 1.1 * radius_of(big))
+        model = collapsed_tree_lp(build_tree_lp(big, points))
+        assert tour_basis(model) is None
+        assert list(treesolve._cold_starts(model)) == []
+
+    def test_rescaled_copy_keeps_the_tour_start(self):
+        """The cascade's rescaled retry scales the source with the sinks,
+        so it starts at the tour start too."""
+        from repro.resilience import rescale_lp
+
+        topo, bounds = synth_instance(256, 7, topology="bipartition")
+        lp = build_tree_lp(topo, bounds)
+        scaled, s = rescale_lp(lp)
+        assert np.allclose(scaled.tree_meta.source_uv * s, lp.tree_meta.source_uv)
+        assert tour_basis(collapsed_tree_lp(scaled)) is not None
+
+    def test_unbounded_windows_get_a_start(self):
+        topo, _ = _nets()["bipartition-256"]
+        model = self._model(topo, 0.0, np.inf)
+        assert crash_basis(model) is None
+        (start,) = treesolve._cold_starts(model)
+        assert start is not None
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("topology", ["bipartition", "htree"])
+    def test_canonical_parity_with_linprog(self, topology, window):
+        topo, _ = synth_instance(256, 11, topology=topology)
+        r = radius_of(topo)
+        bounds = DelayBounds.uniform(256, window[0] * r, window[1] * r)
+        lp = build_tree_lp(topo, bounds)
+        assert tour_basis(collapsed_tree_lp(lp)) is not None
+        _assert_matches_linprog(lp, solve_tree(lp))
+
+    @pytest.mark.parametrize("topology", ["bipartition", "htree"])
+    def test_takes_fewer_pivots_than_the_crash(self, topology):
+        """At 512 sinks the tour start takes at most 0.4x the crash's
+        pivots (~0.2x measured)."""
+        topo, bounds = synth_instance(512, 3, topology=topology)
+        model = collapsed_tree_lp(build_tree_lp(topo, bounds))
+        _, tour, *_ = treesolve._solve_highs(model, [tour_basis(model)], False)
+        _, crash, *_ = treesolve._solve_highs(model, [crash_basis(model)], False)
+        assert tour <= 0.4 * crash, (tour, crash)
+
+    def test_highs_accepts_every_emitted_start(self, monkeypatch):
+        verdicts = []
+        real = treesolve._accepts
+
+        def spy(highs, start):
+            verdicts.append(real(highs, start))
+            return verdicts[-1]
+
+        monkeypatch.setattr(treesolve, "_accepts", spy)
+        for topo, _ in _nets().values():
+            for window in self.WINDOWS[:3]:
+                model = self._model(topo, *window)
+                for start in (tour_basis(model), crash_basis(model)):
+                    treesolve._solve_highs(model, [start], False)
+        assert len(verdicts) == 2 * 3 * len(_nets()) and all(verdicts)
+
+    def test_count_inconsistent_basis_is_refused(self):
+        """A carried basis with one basic entry too few is refused: the
+        solve starts from the next start and gives the cold answer in
+        the cold pivots."""
+        topo, bounds = synth_instance(256, 7, topology="bipartition")
+        lp = build_tree_lp(topo, bounds)
+        cold = solve_tree(lp)
+        col, row = tour_basis(collapsed_tree_lp(lp))
+        col = col.copy()
+        col[np.flatnonzero(col == treesolve._BASIC)[0]] = treesolve._LOWER
+        lp.tree_meta.basis = (col, row)
+        warm = solve_tree(lp)
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.x, cold.x)
 
 
 #: The request windows of perfbench's ``server-mix`` (x radius).
