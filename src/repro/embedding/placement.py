@@ -43,7 +43,8 @@ def place_points(
     """
     if policy not in PLACEMENT_POLICIES:
         raise ValueError(f"unknown placement policy {policy!r}")
-    from repro.embedding.kernel import place_xy  # cycle: kernel imports feasible
+    # cycle: kernel imports feasible
+    from repro.embedding.kernel import place_xy, points_by_node
 
     fb = np.empty((topo.num_nodes, 4), dtype=np.float64)
     for k in range(topo.num_nodes):
@@ -52,10 +53,7 @@ def place_points(
         fb[k, 1] = t.uhi
         fb[k, 2] = t.vlo
         fb[k, 3] = t.vhi
-    xy = place_xy(topo, edge_lengths, fb, policy=policy)
-    return {
-        k: Point(float(xy[k, 0]), float(xy[k, 1])) for k in range(topo.num_nodes)
-    }
+    return points_by_node(place_xy(topo, edge_lengths, fb, policy=policy))
 
 
 def place_points_scalar(

@@ -112,10 +112,24 @@ class LinearProgram:
         self._names.append(name or f"x{len(self._costs) - 1}")
         return len(self._costs) - 1
 
-    def add_variables(self, count: int, prefix: str = "x", cost: float = 0.0) -> range:
+    def add_variables(
+        self,
+        count: int,
+        prefix: str = "x",
+        cost: float | np.ndarray = 0.0,
+        first: int | None = None,
+    ) -> range:
+        """Add ``count`` variables on ``[0, inf)``; returns their column
+        range.  ``cost`` is one cost for all or an array of ``count``;
+        names are ``prefix`` and a number counting up from ``first``
+        (default: the first new column)."""
         start = len(self._costs)
-        for k in range(count):
-            self.add_variable(f"{prefix}{start + k}", cost=cost)
+        costs = np.broadcast_to(np.asarray(cost, dtype=float), (count,))
+        self._costs.extend(costs.tolist())
+        self._lb.extend([0.0] * count)
+        self._ub.extend([math.inf] * count)
+        base = start if first is None else first
+        self._names.extend([prefix + str(k) for k in range(base, base + count)])
         return range(start, start + count)
 
     def set_cost(self, var: int, cost: float) -> None:

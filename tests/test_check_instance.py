@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DelayBounds, Point, nearest_neighbor_topology, solve_lubt
+from repro.ebf.bounds import BoundsError
 from repro.check import (
     CODES,
     DiagnosticWarning,
@@ -125,6 +126,103 @@ class TestGoldenDiagnostics:
         assert "BD007" in result.codes()
         assert all(d.severity is Severity.INFO
                    for d in result.diagnostics if d.code == "BD007")
+
+
+class TestDiagnosticsUnchanged:
+    """Codes, loci, messages and order of the sink checks, written out as
+    the per-sink loops of the checkers gave them; the array checks must
+    say exactly the same."""
+
+    @staticmethod
+    def triples(topo, bounds):
+        return [
+            (d.code, d.locus, d.message)
+            for d in check_instance(topo, bounds).diagnostics
+        ]
+
+    def test_fixed_source(self):
+        # Steiner 9 over sinks 1-3 and Steiner leaf 11, Steiner 10 over
+        # 4-6, pass-through Steiner 12 over sink 7, sink 8 on the root.
+        nan, inf = math.nan, math.inf
+        sinks = [
+            Point(0.0, 0.0), Point(-0.0, 0.0), Point(nan, 5.0),
+            Point(10.0, 2.0), Point(10.0, 2.0), Point(inf, 1.0),
+            Point(3.0, 4.0), Point(0.0, -0.0),
+        ]
+        topo = Topology(
+            [None, 9, 9, 9, 10, 10, 10, 12, 0, 0, 0, 9, 0], 8, sinks,
+            Point(1.0, 1.0),
+        )
+        bounds = DelayBounds.unchecked(
+            [nan, 1.0, -2.0, inf, 5.0, 3.0, 7.0, -0.0],
+            [4.0, nan, 6.0, 9.0, 2.0, 3.0, 4.5, inf],
+        )
+        assert self.triples(topo, bounds) == [
+            ("TP007", "sink 2", "same location (-0, 0) as sink 1"),
+            ("TP008", "sink 3", "sink location (nan, 5.0) is not finite"),
+            ("TP007", "sink 5", "same location (10, 2) as sink 4"),
+            ("TP008", "sink 6", "sink location (inf, 1.0) is not finite"),
+            ("TP007", "sink 8", "same location (0, -0) as sink 1"),
+            ("TP005", "node 11",
+             "Steiner point is a leaf (contributes nothing)"),
+            ("TP006", "node 12",
+             "Steiner point has a single child (pass-through)"),
+            ("BD001", "sink 1", "bounds [nan, 4.0] are not usable"),
+            ("BD001", "sink 2", "bounds [1.0, nan] are not usable"),
+            ("BD003", "sink 3", "lower bound -2 is negative"),
+            ("BD001", "sink 4", "bounds [inf, 9.0] are not usable"),
+            ("BD002", "sink 5", "lower 5 exceeds upper 2"),
+            ("BD007", "sink 6", "exact zero-skew window at 3"),
+            ("BD002", "sink 7", "lower 7 exceeds upper 4.5"),
+            ("BD005", "sink 4",
+             "upper bound 9 < dist(source, sink) = 10 (Eq. 3)"),
+            ("BD005", "sink 5",
+             "upper bound 2 < dist(source, sink) = 10 (Eq. 3)"),
+            ("BD005", "sink 7",
+             "upper bound 4.5 < dist(source, sink) = 5 (Eq. 3)"),
+        ]
+        tight = DelayBounds.unchecked([0.0] * 8, [9.0] * 4 + [10.0, 9.0, 5.0, 9.0])
+        with pytest.raises(BoundsError) as err:
+            tight.check(topo)
+        assert str(err.value) == "u_4 = 9 < dist(source, sink) = 10 (Eq. 3)"
+
+    def test_free_source(self):
+        sinks = [
+            Point(0.0, 0.0), Point(8.0, 0.0), Point(-0.0, 0.0),
+            Point(4.0, 6.0),
+        ]
+        topo = Topology([None, 5, 5, 6, 6, 0, 5], 4, sinks, None)
+        bounds = DelayBounds.unchecked(
+            [0.0, 1.0, 2.0, -1.0], [4.0, 7.0, math.nan, math.inf]
+        )
+        assert self.triples(topo, bounds) == [
+            ("TP007", "sink 3", "same location (-0, 0) as sink 1"),
+            ("BD001", "sink 3", "bounds [2.0, nan] are not usable"),
+            ("BD003", "sink 4", "lower bound -1 is negative"),
+            ("BD005", "sink 1", "upper bound 4 < radius 5 (Eq. 4)"),
+        ]
+        with pytest.raises(BoundsError) as err:
+            DelayBounds.unchecked([0.0] * 4, [9.0, 9.0, 3.0, 9.0]).check(topo)
+        assert str(err.value) == "every upper bound must be >= radius = 5 (Eq. 4)"
+
+    def test_non_finite_source(self):
+        sinks = [
+            Point(0.0, 0.0), Point(8.0, 0.0), Point(math.nan, math.nan),
+            Point(4.0, 6.0),
+        ]
+        topo = Topology(
+            [None, 5, 5, 6, 6, 0, 5], 4, sinks, Point(math.nan, 1.0)
+        )
+        bounds = DelayBounds.unchecked(
+            [0.0, 1.0, 2.0, -0.0], [0.5, 1.0, 2.0, 0.0]
+        )
+        assert self.triples(topo, bounds) == [
+            ("TP008", "node 0", "source location (nan, 1.0) is not finite"),
+            ("TP008", "sink 3", "sink location (nan, nan) is not finite"),
+            ("BD007", "sink 2", "exact zero-skew window at 1"),
+            ("BD007", "sink 3", "exact zero-skew window at 2"),
+            ("BD007", "sink 4", "exact zero-skew window at 0"),
+        ]
 
 
 class TestLpChecks:

@@ -204,3 +204,76 @@ class TestVerifier:
         del partial[1]
         problems = embedding_violations(topo, sol.edge_lengths, partial)
         assert problems
+
+    #: Sinks 1-4 under Steiner 5 (1, 2) and 6 (3, 4), both under 7 on a
+    #: fixed source, with a moved sink, an unplaced sink, a moved source,
+    #: two short edges and an unplaced Steiner point.
+    FAULTY = (
+        Topology(
+            [None, 5, 5, 6, 6, 7, 7, 0], 4,
+            [Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 6.0),
+             Point(4.0, 6.0)],
+            Point(2.0, 10.0),
+        ),
+        np.array([0.0, 1.5, 2.0, 2.0, 2.0, 6.0, 0.0, 4.0]),
+        {0: Point(2.0, 11.0), 1: Point(0.0, 0.0), 2: Point(5.0, 0.0),
+         3: Point(0.0, 6.0), 5: Point(2.0, 0.0), 7: Point(2.0, 6.0)},
+    )
+    FAULTS = [
+        "sink 2 placed at (5, 0), expected (4, 0)",
+        "sink 4 not placed",
+        "source placed at (2, 11), expected (2, 10)",
+        "edge e_1 = 1.5 shorter than embedded distance 2",
+        "edge e_2 = 2 shorter than embedded distance 3",
+        "edge e_3: endpoint missing",
+        "edge e_4: endpoint missing",
+        "edge e_6: endpoint missing",
+        "edge e_7 = 4 shorter than embedded distance 5",
+    ]
+
+    def test_every_fault_listed_in_order(self):
+        topo, e, placements = self.FAULTY
+        assert embedding_violations(topo, e, placements) == self.FAULTS
+        with pytest.raises(AssertionError) as err:
+            verify_embedding(topo, e, placements)
+        assert str(err.value) == "invalid embedding:\n  " + "\n  ".join(
+            self.FAULTS
+        )
+
+    def test_array_verification_lists_the_same_faults(self):
+        """``embed_tree`` verifies the kernel's ``(n, 2)`` array; with
+        every node placed it reports what the map check reports."""
+        topo, e, placements = self.FAULTY
+        full = dict(placements)
+        full[4], full[6] = Point(4.0, 6.0), Point(2.0, 6.0)
+        xy = np.array([[full[k].x, full[k].y] for k in range(8)])
+        with pytest.raises(AssertionError) as err:
+            verify_embedding(topo, e, xy)
+        want = embedding_violations(topo, e, full)
+        assert want == [
+            "sink 2 placed at (5, 0), expected (4, 0)",
+            "source placed at (2, 11), expected (2, 10)",
+            "edge e_1 = 1.5 shorter than embedded distance 2",
+            "edge e_2 = 2 shorter than embedded distance 3",
+            "edge e_7 = 4 shorter than embedded distance 5",
+        ]
+        assert str(err.value) == "invalid embedding:\n  " + "\n  ".join(want)
+
+    def test_placements_are_one_map_built_on_first_read(self):
+        """Every reader of ``embed_tree``'s placements sees the map the
+        kernel's points make, however it reads it."""
+        import pickle
+
+        from repro.embedding import embed_placements
+
+        topo = random_topo(9, 14, fixed=True)
+        sol, tree = solve_and_embed(topo, random_bounds(topo, 14))
+        want = embed_placements(topo, sol.edge_lengths)
+        got = tree.placements
+        assert len(got) == topo.num_nodes
+        assert got[3] is got[3]
+        assert list(got) == list(want) and dict(got) == want
+        assert got.get(topo.num_nodes) is None and 0 in got
+        assert got == want and repr(got) == repr(want)
+        assert dict(pickle.loads(pickle.dumps(tree)).placements) == want
+

@@ -33,6 +33,18 @@ class TestVariables:
         assert list(rng) == [0, 1, 2, 3, 4]
         assert np.all(lp.costs == 1.0)
 
+    def test_add_variables_takes_a_cost_array_and_a_first_number(self):
+        lp = LinearProgram()
+        lp.add_variable("a", cost=2.0)
+        rng = lp.add_variables(3, prefix="e", cost=np.array([0.5, 0.0, 4.0]),
+                               first=1)
+        assert list(rng) == [1, 2, 3]
+        assert lp.costs.tolist() == [2.0, 0.5, 0.0, 4.0]
+        assert [lp.variable_name(j) for j in range(4)] == ["a", "e1", "e2", "e3"]
+        assert lp.lower_bounds.tolist() == [0.0] * 4
+        assert np.isinf(lp.upper_bounds).all()
+        assert lp.variable_name(lp.add_variables(1)[0]) == "x4"
+
     def test_fix_variable(self):
         lp = LinearProgram()
         j = lp.add_variable()
