@@ -724,7 +724,7 @@ class TestHighsBinding:
                        "getModelStatus", "getInfo", "getSolution",
                        "getBasicVariables", "modelStatusToString"):
             assert callable(getattr(highs, method))
-        for key, value in treesolve._OPTIONS:
+        for key, value in treesolve._OPTIONS + treesolve._TOUR_OPTIONS:
             assert highs.setOptionValue(key, value) == core.HighsStatus.kOk
         assert hasattr(highs.getInfo(), "simplex_iteration_count")
         solution = highs.getSolution()
@@ -1119,7 +1119,9 @@ class TestTourStart:
         starts = list(treesolve._cold_starts(model))
         crash = crash_basis(model)
         assert len(starts) == 1
-        assert all(np.array_equal(a, b) for a, b in zip(starts[0], crash))
+        (start, options), = starts
+        assert all(np.array_equal(a, b) for a, b in zip(start, crash))
+        assert options == ()
 
     def test_failed_check_starts_from_the_crash(self, monkeypatch):
         monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", 2)
@@ -1128,8 +1130,9 @@ class TestTourStart:
         )
         model = self._model(_nets()["nn"][0], 0.8, 1.2)
         assert tour_basis(model) is None
-        (start,) = treesolve._cold_starts(model)
+        ((start, options),) = treesolve._cold_starts(model)
         assert all(np.array_equal(a, b) for a, b in zip(start, crash_basis(model)))
+        assert options == ()
 
     def test_small_nets_and_point_windows_keep_their_starts(self):
         """Below ``TOUR_MIN_SINKS`` a cold solve starts from the crash;
@@ -1137,8 +1140,9 @@ class TestTourStart:
         topo, _ = _nets()["nn"]
         assert topo.num_sinks < TOUR_MIN_SINKS
         model = self._model(topo, 0.8, 1.2)
-        (start,) = treesolve._cold_starts(model)
+        ((start, options),) = treesolve._cold_starts(model)
         assert all(np.array_equal(a, b) for a, b in zip(start, crash_basis(model)))
+        assert options == ()
         big, _ = _nets()["bipartition-256"]
         points = DelayBounds.zero_skew(256, 1.1 * radius_of(big))
         model = collapsed_tree_lp(build_tree_lp(big, points))
@@ -1160,8 +1164,9 @@ class TestTourStart:
         topo, _ = _nets()["bipartition-256"]
         model = self._model(topo, 0.0, np.inf)
         assert crash_basis(model) is None
-        (start,) = treesolve._cold_starts(model)
+        ((start, options),) = treesolve._cold_starts(model)
         assert start is not None
+        assert options == treesolve._TOUR_OPTIONS
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("topology", ["bipartition", "htree"])
@@ -1179,9 +1184,46 @@ class TestTourStart:
         pivots (~0.2x measured)."""
         topo, bounds = synth_instance(512, 3, topology=topology)
         model = collapsed_tree_lp(build_tree_lp(topo, bounds))
-        _, tour, *_ = treesolve._solve_highs(model, [tour_basis(model)], False)
-        _, crash, *_ = treesolve._solve_highs(model, [crash_basis(model)], False)
+        _, tour, *_ = treesolve._solve_highs(
+            model, [(tour_basis(model), treesolve._TOUR_OPTIONS)], False
+        )
+        _, crash, *_ = treesolve._solve_highs(
+            model, [(crash_basis(model), ())], False
+        )
         assert tour <= 0.4 * crash, (tour, crash)
+
+    def test_pricing_follows_the_start_highs_takes(self, monkeypatch):
+        """Devex from the tour start; Dantzig from a carried basis, from
+        the crash, and from the crash where the tour start is dropped."""
+        key = "simplex_dual_edge_weight_strategy"
+        objects, seen = [], []
+        real_accepts, real_solve = treesolve._accepts, treesolve._solve_highs
+
+        def accepts(highs, start):
+            objects.append(highs)
+            return real_accepts(highs, start)
+
+        def solve(*args):
+            out = real_solve(*args)
+            seen.append(objects[-1].getOptionValue(key)[1])
+            return out
+
+        monkeypatch.setattr(treesolve, "_accepts", accepts)
+        monkeypatch.setattr(treesolve, "_solve_highs", solve)
+        topo, bounds = synth_instance(256, 7, topology="bipartition")
+        lp = build_tree_lp(topo, bounds)
+        lp.tree_meta.return_basis = True
+        lp.tree_meta.basis = solve_tree(lp).basis
+        solve_tree(lp)
+        lp.tree_meta.basis = None
+        monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", 10**9)
+        solve_tree(lp)
+        monkeypatch.setattr(treesolve, "TOUR_MIN_SINKS", 2)
+        monkeypatch.setattr(
+            treesolve, "_is_dual_feasible_start", lambda *a: False
+        )
+        solve_tree(lp)
+        assert seen == [1, 0, 0, 0]
 
     def test_highs_accepts_every_emitted_start(self, monkeypatch):
         verdicts = []
@@ -1196,7 +1238,7 @@ class TestTourStart:
             for window in self.WINDOWS[:3]:
                 model = self._model(topo, *window)
                 for start in (tour_basis(model), crash_basis(model)):
-                    treesolve._solve_highs(model, [start], False)
+                    treesolve._solve_highs(model, [(start, ())], False)
         assert len(verdicts) == 2 * 3 * len(_nets()) and all(verdicts)
 
     def test_count_inconsistent_basis_is_refused(self):
